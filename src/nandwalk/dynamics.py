@@ -6,6 +6,15 @@ the runway, amplitude e^{i pi r / 2} / sqrt(L) on sites -L+1..0.  It has
 center where the tree either transmits (root value 1) or reflects (root
 value 0).  Evolving for t = L/2 and measuring the probability on the right
 half of the runway decides the instance.
+
+The runtime propagator is a Chebyshev expansion of e^{-iHt} (Tal-Ezer and
+Kosloff 1984) run in real arithmetic.  The walk graph is a forest, hence
+bipartite with classes A and B (NodeIndexMap.sublattice), and on it
+e^{-iHt} (P_A v + i P_B v) = P_A (C + S) v + i P_B (C - S) v for real v,
+with C = cos(Ht) and S = sin(Ht).  One real three-term recurrence
+T_k(H/s) v yields C v (even k) and S v (odd k).  A general state is a
+sum of two such terms, and the initial packet is a single one.  The
+dense eigendecomposition propagator is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -15,21 +24,29 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 from scipy.special import jv
 
 from .nand_core import TreeInput
 from .lattice import HamiltonianGraph, NodeIndexMap, build_full, dense_eig
 from .scattering import SymbolicY, y_at_zero
 
-SPECTRAL_RADIUS_BOUND = 3.0  # max node degree in the walk graph
-EXACT_PROPAGATOR_DIM_CAP = 2000
+# Every forest of maximum degree 3 with unit edge weights has ||H|| below
+# 2 sqrt(3 - 1) = 2 sqrt 2; evolve_cheb refuses graphs outside that class.
+SPECTRAL_RADIUS_BOUND = 2.0 * math.sqrt(2.0)
+MAX_DEGREE = 3
+NORM_DRIFT_BOUND = 1e-8
+_QUARTER_PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])  # e^{i pi r / 2} by r mod 4
 
 
 def initial_packet(L: int, M: int, index_map: NodeIndexMap) -> np.ndarray:
     """Unit-norm packet on runway sites -L+1..0, zero on the tree.
 
     Site r carries e^{i pi r / 2} / sqrt(L); the quarter-period phase makes
-    the packet right-moving with group velocity 2.
+    the packet right-moving with group velocity 2.  The phases are set
+    exactly as (1, i, -1, -i)[r mod 4], so the packet is real on even sites
+    and imaginary on odd ones, which evolve_cheb propagates in one real
+    recurrence.
     """
     if L > M:
         raise ValueError(f"packet length L={L} exceeds half-runway M={M}")
@@ -37,7 +54,7 @@ def initial_packet(L: int, M: int, index_map: NodeIndexMap) -> np.ndarray:
         raise ValueError("packet length must be positive")
     psi = np.zeros(index_map.dim, dtype=complex)
     rs = np.arange(-L + 1, 1)
-    psi[index_map.runway_indices(rs)] = np.exp(1j * np.pi * rs / 2.0) / math.sqrt(L)
+    psi[index_map.runway_indices(rs)] = _QUARTER_PHASES[rs % 4] / math.sqrt(L)
     return psi
 
 
@@ -52,9 +69,10 @@ def evolve_exact(eig, psi: np.ndarray, t: float) -> np.ndarray:
     return V @ (np.exp(-1j * w * t) * (V.conj().T @ psi))
 
 
-def _chebyshev_coefficients(x: float, tol: float):
-    """Coefficients (2 - d_k0) (-i)^k J_k(x) truncated where the Bessel
-    tail drops below tol."""
+def _chebyshev_coefficients(x: float, tol: float) -> np.ndarray:
+    """Real coefficients (2 - d_k0) J_k(x) (1, 1, -1, -1)[k mod 4] of
+    cos(x y) (even k) and sin(x y) (odd k) in T_k(y), truncated where the
+    Bessel tail drops below tol."""
     budget = int(10 * abs(x)) + 10_000
     K = max(int(abs(x)) + 40, 60)
     while True:
@@ -64,10 +82,8 @@ def _chebyshev_coefficients(x: float, tol: float):
         small = (np.abs(j) < tol / 100.0) & beyond_turn
         hits = np.nonzero(small)[0]
         if hits.size:
-            cut = int(hits[0]) + 8
-            ks = np.arange(cut + 1)
-            coef = (2.0 - (ks == 0)) * (-1j) ** ks * jv(ks, x)
-            return coef
+            ks = np.arange(int(hits[0]) + 9)
+            return (2.0 - (ks == 0)) * np.where(ks % 4 < 2, 1.0, -1.0) * jv(ks, x)
         K *= 2
         if K > budget:
             raise RuntimeError(
@@ -75,12 +91,54 @@ def _chebyshev_coefficients(x: float, tol: float):
             )
 
 
-def evolve_cheb(H: HamiltonianGraph, psi: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
-    """Polynomial approximation of e^{-iHt} psi.
+def _check_forest(H: HamiltonianGraph, cls: np.ndarray) -> None:
+    """Raise ValueError unless `cls` two-colours H and H is a forest of
+    maximum degree 3 with |entries| <= 1, the premises of the real
+    recurrence and of SPECTRAL_RADIUS_BOUND."""
+    # Imported here: csgraph adds ~1 MB and ~20 ms to the package import,
+    # which the layers that never propagate need not pay.
+    from scipy.sparse.csgraph import connected_components
 
-    Uses the Chebyshev series with the spectral radius bound 3 (maximum
-    node degree), truncated when the Bessel coefficient tail falls below
-    tol.  Norm drift stays within a small multiple of tol.
+    m = H.matrix
+    degree = np.diff(m.indptr)
+    if np.any(cls[np.repeat(np.arange(H.dim), degree)] == cls[m.indices]):
+        raise ValueError("an edge joins two nodes of the same sublattice class")
+    components = connected_components(m, directed=False, return_labels=False)
+    if m.nnz // 2 != H.dim - components:
+        raise ValueError("walk graph is not a forest")
+    if degree.max() > MAX_DEGREE or (m.nnz and np.abs(m.data).max() > 1.0):
+        raise ValueError(f"walk graph exceeds degree {MAX_DEGREE} or unit edge weight")
+
+
+def _cos_sin(Hs, a: np.ndarray, v: np.ndarray):
+    """(cos(Ht) v, sin(Ht) v) for real v from one recurrence
+    u_k = T_k(H/s) v, with Hs = 2H/s: u_{k+1} = Hs u_k - u_{k-1}."""
+    cos_v = a[0] * v
+    sin_v = np.zeros_like(v)
+    acc = (cos_v, sin_v)
+    prev = v.copy()
+    cur = Hs @ v
+    cur *= 0.5
+    daxpy(cur, sin_v, a=a[1])
+    for k in range(2, a.size):
+        nxt = Hs @ cur
+        nxt -= prev
+        prev, cur = cur, nxt
+        daxpy(cur, acc[k & 1], a=a[k])
+    return cos_v, sin_v
+
+
+def evolve_cheb(H: HamiltonianGraph, psi: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
+    """Polynomial approximation of e^{-iHt} psi in real arithmetic.
+
+    Writes psi = chi(v1) + i chi(v2) with chi(v) = P_A v + i P_B v over the
+    sublattice classes, and e^{-iHt} chi(v) = chi((C + sigma S) v) with
+    sigma = +1 on A, -1 on B.  Each nonzero v costs one real Chebyshev
+    recurrence; the initial packet has v2 = 0.  The series uses the
+    spectral radius bound 2 sqrt 2 and is truncated when the Bessel
+    coefficient tail falls below tol; norm drift stays within a small
+    multiple of tol.  Raises ValueError on a graph outside the bound's
+    premises (see _check_forest).
     """
     if tol < 1e-14:
         raise ValueError("tolerance below 1e-14 is not resolvable in double precision")
@@ -89,16 +147,24 @@ def evolve_cheb(H: HamiltonianGraph, psi: np.ndarray, t: float, tol: float = 1e-
         raise ValueError("state dimension mismatch")
     if t == 0:
         return psi.copy()
-    coef = _chebyshev_coefficients(SPECTRAL_RADIUS_BOUND * t, tol)
-    Hs = H.matrix * (1.0 / SPECTRAL_RADIUS_BOUND)
-    t_prev = psi
-    t_cur = Hs @ psi
-    acc = coef[0] * t_prev + coef[1] * t_cur
-    for k in range(2, coef.size):
-        t_next = 2.0 * (Hs @ t_cur) - t_prev
-        acc += coef[k] * t_next
-        t_prev, t_cur = t_cur, t_next
-    return acc
+    cls = H.index_map.sublattice()
+    _check_forest(H, cls)
+    on_a = cls == 0
+    a = _chebyshev_coefficients(SPECTRAL_RADIUS_BOUND * t, tol)
+    Hs = H.matrix * (2.0 / SPECTRAL_RADIUS_BOUND)
+
+    def propagate(v):
+        if not v.any():
+            return v
+        cos_v, sin_v = _cos_sin(Hs, a, v)
+        return np.where(on_a, cos_v + sin_v, cos_v - sin_v)
+
+    x1 = propagate(np.where(on_a, psi.real, psi.imag))
+    x2 = propagate(np.where(on_a, psi.imag, -psi.real))
+    out = np.empty(H.dim, dtype=complex)
+    out.real = np.where(on_a, x1, -x2)
+    out.imag = np.where(on_a, x2, x1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -114,7 +180,7 @@ class RunConfig:
     L: int
     M: int
     t_run: float
-    propagator: str = "auto"  # auto | exact | chebyshev
+    propagator: str = "auto"  # auto (= chebyshev) | chebyshev | exact (dense oracle)
     tolerance: float = 1e-12
     threshold: float = 0.5
 
@@ -166,13 +232,16 @@ def run_algorithm(tree: TreeInput, config: RunConfig | None = None) -> Verdict:
         config = RunConfig.for_tree(tree.n_leaves)
     H = build_full(tree, config.M)
     psi0 = initial_packet(config.L, config.M, H.index_map)
-    method = config.propagator
-    if method == "auto":
-        method = "exact" if H.dim <= EXACT_PROPAGATOR_DIM_CAP else "chebyshev"
+    method = "chebyshev" if config.propagator == "auto" else config.propagator
     if method == "exact":
         psi_t = evolve_exact(dense_eig(H), psi0, config.t_run)
     else:
         psi_t = evolve_cheb(H, psi0, config.t_run, config.tolerance)
+    drift = abs(float(np.linalg.norm(psi_t)) - 1.0)
+    if drift > NORM_DRIFT_BOUND:
+        raise ArithmeticError(
+            f"{method} propagator drifted the norm by {drift:.1e} (bound {NORM_DRIFT_BOUND:g})"
+        )
     p = prob_right(psi_t, H.index_map)
     t0_sq = 1.0 if y_at_zero(tree) is SymbolicY.ZERO else 0.0
     decision = 1 if p >= config.threshold else 0

@@ -399,6 +399,11 @@ def _cmd_diagnose(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+PROPAGATOR_HELP = ("auto and cheb: real-arithmetic Chebyshev expansion, the runtime "
+                   "propagator at every dim; exact: dense eigendecomposition, the test "
+                   "oracle (dim <= 4000)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nandwalk",
@@ -436,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, nargs="+", default=[16.0],
                    help="packet-length multiplier L = gamma sqrt(N)")
     p.add_argument("--m-factor", type=int, default=3, help="half-runway M = m_factor * L")
-    p.add_argument("--propagator", choices=("auto", "cheb", "exact"), default="auto")
+    p.add_argument("--propagator", choices=("auto", "cheb", "exact"), default="auto",
+                   help=PROPAGATOR_HELP)
     p.add_argument("--tol", type=float, default=1e-12)
     add_common(p)
     p.set_defaults(func=_cmd_run, format="json")
@@ -448,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m-factor", type=int, default=3)
-    p.add_argument("--propagator", choices=("auto", "cheb", "exact"), default="auto")
+    p.add_argument("--propagator", choices=("auto", "cheb", "exact"), default="auto",
+                   help=PROPAGATOR_HELP)
     p.add_argument("--tol", type=float, default=1e-12)
     add_common(p)
     p.set_defaults(func=_cmd_sweep, format="csv")

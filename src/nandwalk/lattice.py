@@ -155,6 +155,26 @@ class NodeIndexMap:
             raise KeyError("layout has no extras block")
         return np.arange(self._extras_off, self._extras_off + 2 ** self.depth)
 
+    def sublattice(self) -> np.ndarray:
+        """Two-colouring of the walk graph as 0/1 classes per flat index.
+
+        Runway site r is in class r mod 2, tree level l in class
+        (l + 1) mod 2 (the root hangs off site 0), extras in class
+        depth mod 2.  Every edge of every layout joins opposite classes.
+        """
+        parts = []
+        if self._runway_off is not None:
+            parts.append(np.arange(-self.M, self.M + 1) % 2)
+        if self._tree_off is not None:
+            if self._leaves_only:
+                levels = np.full(2 ** self.depth, self.depth)
+            else:
+                levels = np.repeat(np.arange(self.depth + 1), 2 ** np.arange(self.depth + 1))
+            parts.append((levels + 1) % 2)
+        if self._extras_off is not None:
+            parts.append(np.full(2 ** self.depth, self.depth % 2))
+        return np.concatenate(parts).astype(np.int8)
+
 
 @dataclass
 class HamiltonianGraph:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nandwalk import (
+    HamiltonianGraph,
     RunConfig,
     apply_h,
     build_full,
@@ -42,6 +43,17 @@ class TestInitialPacket:
         on = np.nonzero(psi)[0]
         assert set(on) == set(imap.runway_indices(np.arange(-3, 1)))
         assert np.allclose(np.abs(psi[on]), 0.5)
+
+    def test_sublattice_phases_exact(self):
+        # real on even runway sites, imaginary on odd ones, with exact zeros
+        L, M = 32, 96
+        H = build_full(parse_input("0110"), M=M)
+        psi = initial_packet(L, M, H.index_map)
+        rs = np.arange(-L + 1, 1)
+        on = psi[H.index_map.runway_indices(rs)]
+        assert np.all(on[rs % 2 == 0].imag == 0.0)
+        assert np.all(on[rs % 2 == 1].real == 0.0)
+        assert np.all(np.abs(on) == 1.0 / math.sqrt(L))
 
     def test_rejects_packet_longer_than_runway(self):
         H = build_full(parse_input("01"), M=4)
@@ -106,6 +118,30 @@ class TestChebyshevPropagator:
         psi = initial_packet(6, 8, H.index_map)
         back = evolve_cheb(H, evolve_cheb(H, psi, 9.0), -9.0)
         assert np.linalg.norm(back - psi) < 1e-9
+
+    def test_unstructured_state_agrees_with_exact(self, rng):
+        # a random complex state needs both real recurrences
+        t = random_tree(rng, 16)
+        H = build_full(t, M=48)
+        eig = dense_eig(H)
+        psi = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
+        psi /= np.linalg.norm(psi)
+        for t_run in (3.3, 40.0, -17.5):
+            a = evolve_cheb(H, psi, t_run, tol=1e-12)
+            b = evolve_exact(eig, psi, t_run)
+            assert np.linalg.norm(a - b) <= 1e-8
+
+    @pytest.mark.parametrize("span", [2, 3])
+    def test_rejects_graph_with_a_cycle(self, span):
+        # span 2 closes a triangle (not bipartite), span 3 a square
+        # (bipartite, but not a forest): the 2 sqrt 2 bound does not hold
+        H = build_runway(6)
+        m = H.matrix.tolil()
+        m[0, span] = m[span, 0] = -1.0
+        looped = HamiltonianGraph(matrix=m.tocsr(), index_map=H.index_map)
+        psi = initial_packet(4, 6, H.index_map)
+        with pytest.raises(ValueError):
+            evolve_cheb(looped, psi, 1.0)
 
     def test_rejects_unresolvable_tolerance(self, rng):
         t = random_tree(rng, 4)
@@ -172,7 +208,7 @@ class TestRunAlgorithm:
         obj = json.loads(v.to_json())
         assert obj["decision"] == v.decision
         assert obj["config"]["bits"] == "0110"
-        assert obj["config"]["propagator"] in ("exact", "chebyshev")
+        assert obj["config"]["propagator"] == "chebyshev"
 
     def test_error_shrinks_with_gamma(self):
         for bits in ("0011", "0110"):

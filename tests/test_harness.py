@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import nandwalk.dynamics as dynamics
 from nandwalk import cli_main, eval_nand, parse_input, sweep
 from nandwalk.harness import ExperimentConfig
 
@@ -81,6 +82,13 @@ class TestRun:
                                "--gamma", "8", "--propagator", "cheb")
         assert code == 0
         assert json.loads(out)["config"]["propagator"] == "chebyshev"
+
+    def test_norm_drift_is_a_numerical_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics, "evolve_cheb", lambda H, psi, t, tol: 1.01 * psi)
+        code, out, err = run_cli(capsys, "run", "--input", "0110", "--gamma", "4")
+        assert code == 1
+        assert out == ""
+        assert "norm" in err
 
 
 class TestSweep:

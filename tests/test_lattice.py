@@ -57,6 +57,27 @@ class TestIndexMap:
         assert imap.right_runway_slice() == slice(4, 7)
 
 
+class TestSublattice:
+    def test_classes(self):
+        imap = NodeIndexMap.full(2, 3)
+        cls = imap.sublattice()
+        assert cls[imap.index(runway_node(-3))] == 1
+        assert cls[imap.index(runway_node(0))] == 0
+        assert cls[imap.index(tree_node(0, 0))] == 1
+        assert cls[imap.index(tree_node(2, 3))] == 1
+        assert cls[imap.index(extra_node(3))] == 0
+
+    def test_every_edge_joins_opposite_classes(self, rng):
+        for n_leaves in (2, 8, 32):
+            t = random_tree(rng, n_leaves)
+            for H in (build_full(t, M=5), build_driver(t.depth, 5),
+                      build_oracle(t), build_runway(5)):
+                cls = H.index_map.sublattice()
+                assert cls.shape == (H.dim,)
+                coo = H.matrix.tocoo()
+                assert np.all(cls[coo.row] != cls[coo.col])
+
+
 class TestBuildOracle:
     def test_no_connections(self):
         H = build_oracle(parse_input("00"))
