@@ -68,26 +68,47 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
 
-def _header_lines(config: ExperimentConfig, schema) -> list:
-    return [
+PARAM_COLUMNS = frozenset({"gamma", "t_run", "T0_sq", "eps"})
+
+
+def csv_cell(column: str, value) -> str:
+    """One CSV cell: true/false, nan for None, %g for parameter columns,
+    %.12e for every other float, str for the rest."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if value is None:
+        return "nan"
+    if isinstance(value, float):
+        return f"{value:g}" if column in PARAM_COLUMNS else f"{value:.12e}"
+    return str(value)
+
+
+def emit_table(config: ExperimentConfig, schema, rows, fmt, out, summary=None, footer=()):
+    """Write rows as CSV or JSON, each row keyed by the schema's columns.
+
+    Both formats carry the config hash, package version, schema and
+    generation time.  `summary` goes into the JSON object and `footer`
+    (comment lines) after the CSV rows.
+    """
+    rows = [{c: r[c] for c in schema} for r in rows]
+    generated_at = datetime.now(timezone.utc).isoformat()
+    if fmt == "json":
+        payload = {"config_hash": config.digest, "version": __version__,
+                   "schema": list(schema), "generated_at": generated_at, "rows": rows}
+        if summary is not None:
+            payload["summary"] = summary
+        _emit(json.dumps(payload, sort_keys=True) + "\n", out)
+        return
+    lines = [
         f"# config_hash: {config.digest}",
         f"# version: {__version__}",
         f"# schema: {','.join(schema)}",
-        f"# generated_at: {datetime.now(timezone.utc).isoformat()}",
+        f"# generated_at: {generated_at}",
+        ",".join(schema),
     ]
-
-
-def _json_payload(config: ExperimentConfig, schema, rows, extra=None) -> str:
-    payload = {
-        "config_hash": config.digest,
-        "version": __version__,
-        "schema": list(schema),
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "rows": rows,
-    }
-    if extra:
-        payload.update(extra)
-    return json.dumps(payload, sort_keys=True) + "\n"
+    lines += [",".join(csv_cell(c, r[c]) for c in schema) for r in rows]
+    lines += footer
+    _emit("\n".join(lines) + "\n", out)
 
 
 def _emit(text: str, out_path):
@@ -142,12 +163,8 @@ def _cmd_scatter(args) -> int:
         command="scatter",
         params={"input": tree.to_text(), "emax": args.emax, "points": args.points},
     )
-    if args.format == "json":
-        rows = [dataclasses.asdict(r) for r in report.rows]
-        text = _json_payload(config, CSV_COLUMNS, rows)
-    else:
-        text = "\n".join(_header_lines(config, CSV_COLUMNS)) + "\n" + report.to_csv()
-    _emit(text, args.out)
+    rows = [dict(zip(CSV_COLUMNS, dataclasses.astuple(r))) for r in report.rows]
+    emit_table(config, CSV_COLUMNS, rows, args.format, args.out)
     if not report.all_pass:
         print(f"{len(report.violations)} bound violations", file=sys.stderr)
         return 1
@@ -275,29 +292,18 @@ def _cmd_sweep(args) -> int:
         args.n, list(args.gamma), args.instances, args.seed,
         m_factor=args.m_factor, propagator=args.propagator, tol=args.tol,
     )
-    if args.format == "json":
-        json_summary = {f"{g:g}": summary[g] for g in summary if isinstance(g, float)}
-        if "fit_exponent" in summary:
-            json_summary["fit_exponent"] = summary["fit_exponent"]
-        _emit(_json_payload(exp, SWEEP_COLUMNS, rows, {"summary": json_summary}), args.out)
-        return 0
-    lines = _header_lines(exp, SWEEP_COLUMNS)
-    lines.append(",".join(SWEEP_COLUMNS))
-    for r in rows:
-        lines.append(
-            f"{r['N']},{r['instance_id']},{r['gamma']:g},{r['L']},{r['M']},"
-            f"{r['t_run']:g},{r['p_right']:.12e},{r['T0_sq']:g},"
-            f"{r['decision']},{r['nand']},{r['correct']}"
-        )
-    for gamma in sorted(k for k in summary if isinstance(k, float)):
-        s = summary[gamma]
-        lines.append(
-            f"# summary gamma={gamma:g}: error_rate={s['error_rate']:.6f} "
-            f"mean_abs_err={s['mean_abs_err']:.6e}"
-        )
+    gammas = sorted(g for g in summary if isinstance(g, float))
+    json_summary = {f"{g:g}": summary[g] for g in gammas}
+    footer = [
+        f"# summary gamma={g:g}: error_rate={summary[g]['error_rate']:.6f} "
+        f"mean_abs_err={summary[g]['mean_abs_err']:.6e}"
+        for g in gammas
+    ]
     if "fit_exponent" in summary:
-        lines.append(f"# summary fit: mean_abs_err ~ gamma^{summary['fit_exponent']:.3f}")
-    _emit("\n".join(lines) + "\n", args.out)
+        json_summary["fit_exponent"] = summary["fit_exponent"]
+        footer.append(f"# summary fit: mean_abs_err ~ gamma^{summary['fit_exponent']:.3f}")
+    emit_table(exp, SWEEP_COLUMNS, rows, args.format, args.out,
+               summary=json_summary, footer=footer)
     return 0
 
 
@@ -310,6 +316,8 @@ def _cmd_embed_parity(args) -> int:
     if args.format == "csv":
         raise ValueError("embed-parity emits a json report; csv applies to scatter/sweep/diagnose")
     k = args.k
+    if args.bits is not None and len(args.bits) != k:
+        raise ValueError(f"--bits has {len(args.bits)} bits; --k {k} needs {k}")
     exhaustive = k <= 12
     assignments = (
         [[(m >> j) & 1 for j in range(k)] for m in range(2 ** k)]
@@ -375,19 +383,7 @@ def _cmd_diagnose(args) -> int:
             small = dispersion_smallness(gamma * root, 1.0 / (16.0 * root))
             row(int(gamma * root), 1.0 / (16.0 * root), "cubic_dispersion",
                 small, 0.1, small < 0.1)
-    if args.format == "json":
-        text = _json_payload(exp, DIAG_COLUMNS, records)
-    else:
-        lines = _header_lines(exp, DIAG_COLUMNS)
-        lines.append(",".join(DIAG_COLUMNS))
-        for r in records:
-            eps_str = "nan" if r["eps"] is None else f"{r['eps']:g}"
-            lines.append(
-                f"{r['L']},{eps_str},{r['quantity']},{r['value']:.12e},"
-                f"{r['bound']:.12e},{'true' if r['pass'] else 'false'}"
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    emit_table(exp, DIAG_COLUMNS, records, args.format, args.out)
     if not ok:
         print("diagnostic inequality violated", file=sys.stderr)
         return 1

@@ -2,15 +2,16 @@
 
 The walk graph consists of a runway (a path on sites r = -M..M), a perfect
 binary tree of depth n whose root hangs off runway site 0, and one pendant
-"extra" node per leaf, attached exactly when that leaf bit is 1.  The
-instance-independent part (runway + tree) is the driver; the pendant edges
-are the oracle; the full Hamiltonian is their entrywise sum.  All entries
+"extra" node per leaf, attached exactly when that leaf bit is 1.  Every
+graph lives on one node layout (NodeIndexMap).  The driver H_D is the
+instance-independent part (runway + tree), the oracle H_O the pendant
+edges, and the full Hamiltonian is H = H_D + H_O, entrywise.  All entries
 are exactly -1 off the diagonal and 0 on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -38,77 +39,33 @@ def extra_node(leaf: int):
 class NodeIndexMap:
     """Bijection between graph nodes and flat vector indices.
 
-    Canonical order: runway sites -M..M, then tree nodes level by level
-    (root first, leaves last), then extras in leaf order.  Layouts for the
-    partial graphs simply omit blocks; the oracle layout keeps only the
-    leaf level of the tree so that leaves share their identity with the
-    full layout.
+    Order: runway sites -M..M, then the tree in heap order (node (l, p)
+    at 2^l - 1 + p, root first, leaves last), then one extra per leaf.
+    depth=None leaves the tree and extras blocks empty: the bare runway.
     """
 
-    def __init__(self, depth=None, M=None, with_runway=False, with_tree=False,
-                 leaves_only=False, with_extras=False):
+    def __init__(self, depth, M: int):
+        if M < 1:
+            raise ValueError("M must be >= 1")
         self.depth = depth
         self.M = M
-        self._runway = with_runway
-        self._tree = with_tree
-        self._leaves_only = leaves_only
-        self._extras = with_extras
-        off = 0
-        self._runway_off = None
-        self._tree_off = None
-        self._extras_off = None
-        if with_runway:
-            self._runway_off = off
-            off += 2 * M + 1
-        if with_tree:
-            self._tree_off = off
-            off += (2 ** depth) if leaves_only else (2 ** (depth + 1) - 1)
-        if with_extras:
-            self._extras_off = off
-            off += 2 ** depth
-        self.dim = off
-
-    # -- layouts --------------------------------------------------------
-
-    @classmethod
-    def full(cls, depth: int, M: int) -> "NodeIndexMap":
-        return cls(depth=depth, M=M, with_runway=True, with_tree=True, with_extras=True)
-
-    @classmethod
-    def driver(cls, depth: int, M: int) -> "NodeIndexMap":
-        return cls(depth=depth, M=M, with_runway=True, with_tree=True)
-
-    @classmethod
-    def oracle(cls, depth: int) -> "NodeIndexMap":
-        return cls(depth=depth, with_tree=True, leaves_only=True, with_extras=True)
-
-    @classmethod
-    def runway_only(cls, M: int) -> "NodeIndexMap":
-        return cls(M=M, with_runway=True)
+        self.n_leaves = 0 if depth is None else 2 ** depth
+        self.tree_off = 2 * M + 1
+        self.extras_off = self.tree_off + max(2 * self.n_leaves - 1, 0)
+        self.dim = self.extras_off + self.n_leaves
 
     # -- node -> flat ----------------------------------------------------
 
     def index(self, node) -> int:
         kind = node[0]
-        if kind == RUNWAY:
-            r = node[1]
-            if self._runway_off is None or abs(r) > self.M:
-                raise KeyError(node)
-            return self._runway_off + r + self.M
-        if kind == TREE:
+        if kind == RUNWAY and abs(node[1]) <= self.M:
+            return node[1] + self.M
+        if kind == TREE and self.depth is not None:
             _, level, pos = node
-            if self._tree_off is None or not (0 <= level <= self.depth) or not (0 <= pos < 2 ** level):
-                raise KeyError(node)
-            if self._leaves_only:
-                if level != self.depth:
-                    raise KeyError(node)
-                return self._tree_off + pos
-            return self._tree_off + (2 ** level - 1 + pos)
-        if kind == EXTRA:
-            leaf = node[1]
-            if self._extras_off is None or not (0 <= leaf < 2 ** self.depth):
-                raise KeyError(node)
-            return self._extras_off + leaf
+            if 0 <= level <= self.depth and 0 <= pos < 2 ** level:
+                return self.tree_off + 2 ** level - 1 + pos
+        if kind == EXTRA and 0 <= node[1] < self.n_leaves:
+            return self.extras_off + node[1]
         raise KeyError(node)
 
     # -- flat -> node ----------------------------------------------------
@@ -116,63 +73,42 @@ class NodeIndexMap:
     def node(self, i: int):
         if not 0 <= i < self.dim:
             raise IndexError(i)
-        if self._runway_off is not None and i < self._runway_off + 2 * self.M + 1:
-            return runway_node(i - self._runway_off - self.M)
-        if self._tree_off is not None and (self._extras_off is None or i < self._extras_off):
-            j = i - self._tree_off
-            if self._leaves_only:
-                return tree_node(self.depth, j)
-            level = (j + 1).bit_length() - 1
-            return tree_node(level, j - (2 ** level - 1))
-        return extra_node(i - self._extras_off)
-
-    def nodes(self):
-        return [self.node(i) for i in range(self.dim)]
+        if i < self.tree_off:
+            return runway_node(i - self.M)
+        if i < self.extras_off:
+            heap = i - self.tree_off + 1
+            level = heap.bit_length() - 1
+            return tree_node(level, heap - 2 ** level)
+        return extra_node(i - self.extras_off)
 
     # -- convenience -----------------------------------------------------
 
     def runway_indices(self, rs) -> np.ndarray:
-        if self._runway_off is None:
-            raise KeyError("layout has no runway block")
         rs = np.asarray(rs, dtype=int)
         if np.any(np.abs(rs) > self.M):
             raise KeyError("runway site out of range")
-        return self._runway_off + rs + self.M
+        return rs + self.M
 
     def right_runway_slice(self) -> slice:
-        if self._runway_off is None:
-            raise KeyError("layout has no runway block")
-        return slice(self._runway_off + self.M + 1, self._runway_off + 2 * self.M + 1)
+        return slice(self.M + 1, self.tree_off)
 
     def tree_indices(self) -> np.ndarray:
-        if self._tree_off is None:
-            raise KeyError("layout has no tree block")
-        size = (2 ** self.depth) if self._leaves_only else (2 ** (self.depth + 1) - 1)
-        return np.arange(self._tree_off, self._tree_off + size)
+        return np.arange(self.tree_off, self.extras_off)
 
     def extra_indices(self) -> np.ndarray:
-        if self._extras_off is None:
-            raise KeyError("layout has no extras block")
-        return np.arange(self._extras_off, self._extras_off + 2 ** self.depth)
+        return np.arange(self.extras_off, self.dim)
 
     def sublattice(self) -> np.ndarray:
         """Two-colouring of the walk graph as 0/1 classes per flat index.
 
         Runway site r is in class r mod 2, tree level l in class
         (l + 1) mod 2 (the root hangs off site 0), extras in class
-        depth mod 2.  Every edge of every layout joins opposite classes.
+        depth mod 2.  Every edge of every graph joins opposite classes.
         """
-        parts = []
-        if self._runway_off is not None:
-            parts.append(np.arange(-self.M, self.M + 1) % 2)
-        if self._tree_off is not None:
-            if self._leaves_only:
-                levels = np.full(2 ** self.depth, self.depth)
-            else:
-                levels = np.repeat(np.arange(self.depth + 1), 2 ** np.arange(self.depth + 1))
-            parts.append((levels + 1) % 2)
-        if self._extras_off is not None:
-            parts.append(np.full(2 ** self.depth, self.depth % 2))
+        parts = [np.arange(-self.M, self.M + 1) % 2]
+        if self.depth is not None:
+            levels = np.repeat(np.arange(self.depth + 1), 2 ** np.arange(self.depth + 1))
+            parts += [(levels + 1) % 2, np.full(self.n_leaves, self.depth % 2)]
         return np.concatenate(parts).astype(np.int8)
 
 
@@ -182,7 +118,6 @@ class HamiltonianGraph:
 
     matrix: sp.csr_matrix
     index_map: NodeIndexMap
-    meta: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -207,86 +142,44 @@ class HamiltonianGraph:
         return "\n".join(f"{u} {v}" for u, v in pairs) + "\n"
 
 
-def _graph_from_pairs(pairs, index_map: NodeIndexMap, meta: dict) -> HamiltonianGraph:
-    if pairs:
-        arr = np.asarray(pairs, dtype=int)
-        rows = np.concatenate([arr[:, 0], arr[:, 1]])
-        cols = np.concatenate([arr[:, 1], arr[:, 0]])
-        data = -np.ones(rows.size, dtype=float)
-    else:
-        rows = cols = np.zeros(0, dtype=int)
-        data = np.zeros(0, dtype=float)
-    m = sp.coo_matrix((data, (rows, cols)), shape=(index_map.dim, index_map.dim)).tocsr()
+def _graph_from_edges(imap: NodeIndexMap, u, v) -> HamiltonianGraph:
+    """-1 on both (u, v) and (v, u) for every edge in the paired arrays."""
+    rows = np.concatenate([u, v])
+    cols = np.concatenate([v, u])
+    m = sp.coo_matrix((-np.ones(rows.size), (rows, cols)), shape=(imap.dim, imap.dim)).tocsr()
     m.sort_indices()
-    return HamiltonianGraph(matrix=m, index_map=index_map, meta=meta)
-
-
-def _tree_edge_pairs(imap: NodeIndexMap, depth: int):
-    pairs = []
-    for level in range(depth):
-        for pos in range(2 ** level):
-            parent = imap.index(tree_node(level, pos))
-            pairs.append((parent, imap.index(tree_node(level + 1, 2 * pos))))
-            pairs.append((parent, imap.index(tree_node(level + 1, 2 * pos + 1))))
-    return pairs
-
-
-def build_oracle(tree: TreeInput) -> HamiltonianGraph:
-    """Instance-dependent part: one leaf-to-extra edge per 1-bit."""
-    imap = NodeIndexMap.oracle(tree.depth)
-    pairs = [
-        (imap.index(tree_node(tree.depth, i)), imap.index(extra_node(i)))
-        for i, b in enumerate(tree.bits)
-        if b == 1
-    ]
-    meta = {"N": tree.n_leaves, "n": tree.depth, "M": None}
-    return _graph_from_pairs(pairs, imap, meta)
-
-
-def build_driver(depth: int, M: int) -> HamiltonianGraph:
-    """Instance-independent part: runway path plus tree, root at site 0."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    imap = NodeIndexMap.driver(depth, M)
-    pairs = [
-        (imap.index(runway_node(r)), imap.index(runway_node(r + 1)))
-        for r in range(-M, M)
-    ]
-    pairs.append((imap.index(runway_node(0)), imap.index(tree_node(0, 0))))
-    pairs.extend(_tree_edge_pairs(imap, depth))
-    meta = {"N": 2 ** depth, "n": depth, "M": M}
-    return _graph_from_pairs(pairs, imap, meta)
-
-
-def build_full(tree: TreeInput, M: int) -> HamiltonianGraph:
-    """Driver plus oracle over the combined node set."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    n = tree.depth
-    imap = NodeIndexMap.full(n, M)
-    pairs = [
-        (imap.index(runway_node(r)), imap.index(runway_node(r + 1)))
-        for r in range(-M, M)
-    ]
-    pairs.append((imap.index(runway_node(0)), imap.index(tree_node(0, 0))))
-    pairs.extend(_tree_edge_pairs(imap, n))
-    for i, b in enumerate(tree.bits):
-        if b == 1:
-            pairs.append((imap.index(tree_node(n, i)), imap.index(extra_node(i))))
-    meta = {"N": tree.n_leaves, "n": n, "M": M}
-    return _graph_from_pairs(pairs, imap, meta)
+    return HamiltonianGraph(matrix=m, index_map=imap)
 
 
 def build_runway(M: int) -> HamiltonianGraph:
     """Bare runway path, no tree: the free-propagation reference graph."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    imap = NodeIndexMap.runway_only(M)
-    pairs = [
-        (imap.index(runway_node(r)), imap.index(runway_node(r + 1)))
-        for r in range(-M, M)
-    ]
-    return _graph_from_pairs(pairs, imap, {"N": None, "n": None, "M": M})
+    sites = np.arange(2 * M)
+    return _graph_from_edges(NodeIndexMap(None, M), sites, sites + 1)
+
+
+def build_driver(depth: int, M: int) -> HamiltonianGraph:
+    """H_D: runway edges (r, r+1), the root on site 0, heap edges p -> 2p+1, 2p+2."""
+    imap = NodeIndexMap(depth, M)
+    sites = np.arange(2 * M)
+    parents = imap.tree_off + np.arange(imap.n_leaves - 1)
+    children = 2 * parents - imap.tree_off + 1
+    u = np.concatenate([sites, [M], parents, parents])
+    v = np.concatenate([sites + 1, [imap.tree_off], children, children + 1])
+    return _graph_from_edges(imap, u, v)
+
+
+def build_oracle(tree: TreeInput, M: int) -> HamiltonianGraph:
+    """H_O: one edge from leaf i to extra i per 1-bit, on the full layout."""
+    imap = NodeIndexMap(tree.depth, M)
+    ones = np.flatnonzero(np.asarray(tree.bits) == 1)
+    return _graph_from_edges(imap, imap.extras_off - imap.n_leaves + ones, imap.extras_off + ones)
+
+
+def build_full(tree: TreeInput, M: int) -> HamiltonianGraph:
+    """H = H_D + H_O."""
+    driver = build_driver(tree.depth, M)
+    return HamiltonianGraph(matrix=driver.matrix + build_oracle(tree, M).matrix,
+                            index_map=driver.index_map)
 
 
 def apply_h(H: HamiltonianGraph, v: np.ndarray) -> np.ndarray:

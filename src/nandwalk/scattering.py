@@ -29,9 +29,7 @@ scan_bounds checks these inequalities pointwise over an energy grid.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import math
 from dataclasses import dataclass
 
@@ -85,12 +83,14 @@ def _renormalized(num, den):
     return ProjectiveValue(num=num / scale, den=den / scale)
 
 
-def leaf_y(bit: int, E):
-    """Y on a leaf edge: E/(1-E^2) with the pendant node, -1/E without."""
+def leaf_y(bit, E):
+    """Y on a leaf edge: E/(1-E^2) with the pendant node, -1/E without.
+
+    bit may be an array of leaf bits; it broadcasts against E.
+    """
     E = np.asarray(E, dtype=float)
-    if bit == 1:
-        return ProjectiveValue(num=E, den=1.0 - E * E)
-    return ProjectiveValue(num=-np.ones_like(E), den=E)
+    one = np.asarray(bit) == 1
+    return ProjectiveValue(num=np.where(one, E, -1.0), den=np.where(one, 1.0 - E * E, E))
 
 
 def combine_y(y1: ProjectiveValue, y2: ProjectiveValue, E) -> ProjectiveValue:
@@ -113,22 +113,14 @@ def y_bottom(tree: TreeInput, E) -> ProjectiveValue:
     Satisfies y(-E) = -y(E).
     """
     E_in = np.asarray(E, dtype=float)
-    scalar = E_in.ndim == 0
     Ev = np.atleast_1d(E_in)
-    bits = np.asarray(tree.bits)[:, None]
-    p = np.where(bits == 1, Ev[None, :], -1.0)
-    q = np.where(bits == 1, 1.0 - Ev * Ev, Ev[None, :])
-    while p.shape[0] > 1:
-        qq = q[0::2] * q[1::2]
-        num = -qq
-        den = Ev * qq + p[0::2] * q[1::2] + p[1::2] * q[0::2]
-        scale = np.maximum(np.abs(num), np.abs(den))
-        if np.any(scale == 0.0):
-            raise DegenerateRecursionError("projective recursion produced (0, 0)")
-        p, q = num / scale, den / scale
-    if scalar:
-        return ProjectiveValue(num=float(p[0, 0]), den=float(q[0, 0]))
-    return ProjectiveValue(num=p[0], den=q[0])
+    y = leaf_y(np.asarray(tree.bits)[:, None], Ev)
+    while y.num.shape[0] > 1:
+        y = combine_y(ProjectiveValue(y.num[0::2], y.den[0::2]),
+                      ProjectiveValue(y.num[1::2], y.den[1::2]), Ev)
+    if E_in.ndim == 0:
+        return ProjectiveValue(num=float(y.num[0, 0]), den=float(y.den[0, 0]))
+    return ProjectiveValue(num=y.num[0], den=y.den[0])
 
 
 def y_at_zero(tree: TreeInput) -> SymbolicY:
@@ -229,19 +221,6 @@ class BoundReport:
     @property
     def violations(self) -> list:
         return [r for r in self.rows if not r.passed]
-
-    def to_csv(self, fh=None) -> str:
-        buf = fh or io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
-        for r in self.rows:
-            w.writerow(
-                [r.N, r.instance_id, f"{r.E:.12e}", r.nand,
-                 f"{r.abs_y:.12e}", f"{r.abs_T:.12e}",
-                 f"{r.bound_y:.12e}", f"{r.bound_T:.12e}",
-                 "true" if r.passed else "false"]
-            )
-        return "" if fh else buf.getvalue()
 
 
 def scan_bounds(tree: TreeInput, grid, instance_id: int = 0) -> BoundReport:

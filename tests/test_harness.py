@@ -6,7 +6,7 @@ import pytest
 
 import nandwalk.dynamics as dynamics
 from nandwalk import cli_main, eval_nand, parse_input, sweep
-from nandwalk.harness import ExperimentConfig
+from nandwalk.harness import ExperimentConfig, csv_cell
 
 
 def run_cli(capsys, *argv):
@@ -64,7 +64,7 @@ class TestScatter:
         assert code == 0
         obj = json.loads(out)
         assert len(obj["rows"]) == 4
-        assert all(r["passed"] for r in obj["rows"])
+        assert all(r["pass"] for r in obj["rows"])
         assert obj["schema"][0] == "N"
 
 
@@ -173,6 +173,12 @@ class TestEmbedParityCommand:
         obj = json.loads(out)
         assert obj["instance_value"] == 0  # (1 + 1 + 0) mod 2
 
+    def test_bits_length_must_match_k(self, capsys):
+        code, out, err = run_cli(capsys, "embed-parity", "--k", "4", "--bits", "01")
+        assert code == 2
+        assert out == ""
+        assert "--bits" in err
+
 
 class TestDiagnose:
     def test_default_checks_pass(self, capsys):
@@ -190,6 +196,27 @@ class TestDiagnose:
         assert code == 0
         obj = json.loads(out)
         assert all(r["pass"] for r in obj["rows"])
+
+
+class TestCsvJsonAgree:
+    @pytest.mark.parametrize("argv", [
+        ("scatter", "--input", "0110", "--points", "6"),
+        ("sweep", "--n", "4", "--gamma", "4", "16", "--instances", "2", "--seed", "3"),
+        ("diagnose", "--L", "16", "--eps", "0.1"),
+    ])
+    def test_same_rows_in_both_formats(self, capsys, argv):
+        code, text, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        code, js, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        obj = json.loads(js)
+        schema = obj["schema"]
+        lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+        assert lines[0] == ",".join(schema)
+        assert len(lines) == 1 + len(obj["rows"])
+        for line, row in zip(lines[1:], obj["rows"]):
+            assert sorted(row) == sorted(schema)
+            assert line == ",".join(csv_cell(c, row[c]) for c in schema)
 
 
 class TestFormatErrors:

@@ -22,18 +22,13 @@ from conftest import random_tree
 
 class TestIndexMap:
     def test_round_trip_all_layouts(self):
-        maps = [
-            NodeIndexMap.full(3, 5),
-            NodeIndexMap.driver(3, 5),
-            NodeIndexMap.oracle(3),
-            NodeIndexMap.runway_only(4),
-        ]
-        for imap in maps:
+        # the full layout and the bare runway (depth=None)
+        for imap in (NodeIndexMap(3, 5), NodeIndexMap(None, 4)):
             for i in range(imap.dim):
                 assert imap.index(imap.node(i)) == i
 
     def test_canonical_order(self):
-        imap = NodeIndexMap.full(1, 2)
+        imap = NodeIndexMap(1, 2)
         assert imap.dim == 5 + 3 + 2
         assert imap.node(0) == runway_node(-2)
         assert imap.node(4) == runway_node(2)
@@ -42,16 +37,26 @@ class TestIndexMap:
         assert imap.node(8) == extra_node(0)
 
     def test_rejects_unknown_nodes(self):
-        imap = NodeIndexMap.driver(2, 3)
-        with pytest.raises(KeyError):
-            imap.index(extra_node(0))
+        imap = NodeIndexMap(2, 3)
         with pytest.raises(KeyError):
             imap.index(runway_node(4))
         with pytest.raises(KeyError):
             imap.index(tree_node(3, 0))
+        with pytest.raises(KeyError):
+            imap.index(extra_node(4))
+        bare = NodeIndexMap(None, 3)
+        for node in (tree_node(0, 0), tree_node(1, 1), extra_node(0)):
+            with pytest.raises(KeyError):
+                bare.index(node)
+
+    def test_rejects_empty_runway(self):
+        with pytest.raises(ValueError):
+            NodeIndexMap(2, 0)
+        with pytest.raises(ValueError):
+            build_runway(0)
 
     def test_runway_slices(self):
-        imap = NodeIndexMap.full(1, 3)
+        imap = NodeIndexMap(1, 3)
         rs = imap.runway_indices(np.array([-3, 0, 3]))
         assert list(rs) == [0, 3, 6]
         assert imap.right_runway_slice() == slice(4, 7)
@@ -59,7 +64,7 @@ class TestIndexMap:
 
 class TestSublattice:
     def test_classes(self):
-        imap = NodeIndexMap.full(2, 3)
+        imap = NodeIndexMap(2, 3)
         cls = imap.sublattice()
         assert cls[imap.index(runway_node(-3))] == 1
         assert cls[imap.index(runway_node(0))] == 0
@@ -71,7 +76,7 @@ class TestSublattice:
         for n_leaves in (2, 8, 32):
             t = random_tree(rng, n_leaves)
             for H in (build_full(t, M=5), build_driver(t.depth, 5),
-                      build_oracle(t), build_runway(5)):
+                      build_oracle(t, 5), build_runway(5)):
                 cls = H.index_map.sublattice()
                 assert cls.shape == (H.dim,)
                 coo = H.matrix.tocoo()
@@ -80,19 +85,19 @@ class TestSublattice:
 
 class TestBuildOracle:
     def test_no_connections(self):
-        H = build_oracle(parse_input("00"))
+        H = build_oracle(parse_input("00"), 1)
         assert H.matrix.nnz == 0
-        assert H.dim == 4
+        assert H.dim == 3 + 3 + 2  # the full layout
 
     def test_both_connections(self):
-        H = build_oracle(parse_input("11"))
+        H = build_oracle(parse_input("11"), 1)
         assert H.matrix.nnz == 4  # two undirected edges
         d = H.to_dense()
         assert np.array_equal(d, d.T)
         assert set(np.unique(d)) <= {-1.0, 0.0}
 
     def test_mixed(self):
-        H = build_oracle(parse_input("0110"))
+        H = build_oracle(parse_input("0110"), 1)
         assert H.matrix.nnz == 4
         assert H.edges() == {
             frozenset((tree_node(2, 1), extra_node(1))),
@@ -103,7 +108,7 @@ class TestBuildOracle:
 class TestBuildDriver:
     def test_depth1_m1(self):
         H = build_driver(1, 1)
-        assert H.dim == 6
+        assert H.dim == 8  # the full layout: extras carry no driver edge
         assert H.matrix.nnz == 10  # 5 undirected edges
         assert H.edges() == {
             frozenset((runway_node(-1), runway_node(0))),
@@ -114,7 +119,7 @@ class TestBuildDriver:
         }
 
     def test_depth2_m2_dim(self):
-        assert build_driver(2, 2).dim == 5 + 7
+        assert build_driver(2, 2).dim == 5 + 7 + 4
 
     def test_degrees(self):
         H = build_driver(3, 6)
@@ -138,7 +143,9 @@ class TestBuildFull:
         for n_leaves in (2, 4, 8):
             t = random_tree(rng, n_leaves)
             full = build_full(t, M=5)
-            assert full.edges() == build_driver(t.depth, 5).edges() | build_oracle(t).edges()
+            driver, oracle = build_driver(t.depth, 5), build_oracle(t, 5)
+            assert full.edges() == driver.edges() | oracle.edges()
+            assert (full.matrix != driver.matrix + oracle.matrix).nnz == 0
 
     def test_degree_census(self, rng):
         t = random_tree(rng, 8)

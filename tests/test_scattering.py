@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 
@@ -10,6 +9,7 @@ from nandwalk import (
     ProjectiveValue,
     SymbolicY,
     TreeInput,
+    cli_main,
     combine_y,
     energy_grid,
     eval_nand,
@@ -37,6 +37,16 @@ class TestLeafY:
     def test_connected_leaf_value(self):
         y = leaf_y(1, 0.5)
         assert float(y.ratio) == pytest.approx(0.5 / 0.75, rel=1e-15)
+
+    def test_bit_array_broadcasts(self):
+        bits = np.array([1, 0, 1])[:, None]
+        E = np.array([0.0, 0.25, -0.5])
+        y = leaf_y(bits, E)
+        assert y.num.shape == y.den.shape == (3, 3)
+        for i, b in enumerate((1, 0, 1)):
+            one = leaf_y(b, E)
+            assert np.array_equal(y.num[i], one.num)
+            assert np.array_equal(y.den[i], one.den)
 
 
 class TestCombineY:
@@ -82,6 +92,7 @@ class TestYBottom:
                 while len(ys) > 1:
                     ys = [combine_y(ys[2 * i], ys[2 * i + 1], E) for i in range(len(ys) // 2)]
                 direct = y_bottom(t, E)
+                assert type(direct.num) is float and type(direct.den) is float
                 assert float(direct.ratio) == pytest.approx(float(ys[0].ratio), rel=1e-12)
 
     def test_antisymmetry(self, rng):
@@ -216,16 +227,14 @@ class TestScanBounds:
         with pytest.raises(ValueError):
             scan_bounds(t, [0.0])
 
-    def test_csv_round_trip(self):
-        report = scan_bounds(parse_input("0110"), energy_grid(4, points=5))
-        text = report.to_csv()
-        lines = text.strip().split("\n")
+    def test_csv_round_trip(self, capsys):
+        # the CSV table is written by the CLI's one emitter
+        assert cli_main(["scatter", "--input", "0110", "--points", "5"]) == 0
+        lines = [ln for ln in capsys.readouterr().out.strip().split("\n")
+                 if not ln.startswith("#")]
         assert lines[0] == "N,instance_id,E,nand,abs_y,abs_T,bound_y,bound_T,pass"
         assert len(lines) == 6
         assert all(line.endswith(",true") for line in lines[1:])
-        buf = io.StringIO()
-        report.to_csv(buf)
-        assert buf.getvalue() == text
 
 
 class TestEnergyGrid:
