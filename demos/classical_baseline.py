@@ -10,8 +10,8 @@ import numpy as np
 
 from nandwalk import (
     eval_nand,
-    expected_hard_queries,
     hard_instance,
+    hard_query_law,
     hard_query_samples,
     parse_input,
     randomized_eval,
@@ -40,13 +40,21 @@ print("=" * 66)
 print("Instances drawn from the worst-case distribution: a 0-node forces")
 print("both children to 1, a 1-node hides its single 0 on a random side.")
 print()
-print(f"{'depth':>6} {'N':>6} {'mean queries':>14} {'exact E[q]':>12} {'N^0.753':>10}")
-depths = (4, 6, 8, 10, 12)
+print("Samples are i.i.d. draws from the exact query-count law (a recursion")
+print("on pmfs); its mean and standard deviation are shown next to them.")
+print()
+print(f"{'depth':>6} {'N':>6} {'sample mean':>12} {'exact mean':>11} {'exact std':>10} "
+      f"{'N^0.753':>10}")
+depths = (4, 6, 8, 10, 12, 14)
 means = []
 for n in depths:
     qs = hard_query_samples(n, trials=20000, seed=7)
+    law = hard_query_law(n)
+    q = np.arange(law.size)
+    mean = q @ law
+    std = np.sqrt((q - mean) ** 2 @ law)
     means.append(qs.mean())
-    print(f"{n:>6} {2**n:>6} {qs.mean():>14.2f} {expected_hard_queries(n):>12.2f} "
+    print(f"{n:>6} {2**n:>6} {qs.mean():>12.2f} {mean:>11.2f} {std:>10.2f} "
           f"{(2**n)**0.753:>10.1f}")
 
 slope = np.polyfit(np.log([2.0**n for n in depths[-3:]]),

@@ -16,6 +16,7 @@ from .nand_core import (
     eval_nand,
     expected_hard_queries,
     hard_instance,
+    hard_query_law,
     hard_query_samples,
     parity_blocks,
     parity_layout,

@@ -4,8 +4,10 @@ A problem instance is a string of N = 2^n leaf bits on a perfect binary
 tree whose internal nodes each compute the NAND of their two children.
 This module holds the instance type, exact and randomized evaluation
 (the randomized rule short-circuits on a 0-child and achieves ~N^0.753
-expected queries on adversarial instances), and the construction that
-rewrites the parity of k bits as a k^2-leaf NAND-tree instance.
+expected queries on adversarial instances), the exact law of that query
+count on the adversarial distribution (a recursion on pmfs, from which
+hard_query_samples draws), and the construction that rewrites the parity
+of k bits as a k^2-leaf NAND-tree instance.
 """
 
 from __future__ import annotations
@@ -133,14 +135,23 @@ def randomized_eval(tree: TreeInput, seed: int) -> EvalTrace:
 #
 # The worst-case input distribution for the randomized rule is built top
 # down: a 0-node forces both children to 1, a 1-node places a 0 on one
-# uniformly random child and a 1 on the other.  Expected queries then obey
-#   E0(h) = 2 E1(h-1),   E1(h) = E0(h-1) + E1(h-1)/2,
-# whose growth rate per level is log2((1+sqrt(33))/4) = 0.7537...
+# uniformly random child and a 1 on the other.  As the evaluator reads a
+# random child first, the query count of a height-h subtree with root value
+# v has a law Qv(h): with * the convolution of pmfs and Q0(0) = Q1(0) = delta_1,
+#   Q0(h) = Q1(h-1) * Q1(h-1),   Q1(h) = Q0(h-1)/2 + (Q1(h-1) * Q0(h-1))/2,
+# whose means E0(h) = 2 E1(h-1), E1(h) = E0(h-1) + E1(h-1)/2 grow by
+# log2((1+sqrt(33))/4) = 0.7537... per level (Saks-Wigderson 1986).
 # ---------------------------------------------------------------------------
+
+
+def _check_hard_args(depth: int, root_value: int) -> None:
+    if depth < 0 or root_value not in (0, 1):
+        raise ValueError(f"need depth >= 0 and root_value 0 or 1, got {depth}, {root_value!r}")
 
 
 def hard_instance(depth: int, seed: int, root_value: int = 1) -> TreeInput:
     """Draw one instance from the adversarial distribution."""
+    _check_hard_args(depth, root_value)
     rng = np.random.default_rng(seed)
     level = np.array([root_value], dtype=np.int8)
     for _ in range(depth):
@@ -157,49 +168,35 @@ def hard_instance(depth: int, seed: int, root_value: int = 1) -> TreeInput:
 def expected_hard_queries(depth: int, root_value: int = 1) -> float:
     """Exact expected query count of randomized_eval on the adversarial
     distribution (average over instances and evaluation coins)."""
+    _check_hard_args(depth, root_value)
     e0, e1 = 1.0, 1.0
     for _ in range(depth):
         e0, e1 = 2.0 * e1, e0 + e1 / 2.0
     return e0 if root_value == 0 else e1
 
 
-def hard_query_samples(
-    depth: int, trials: int, seed: int, root_value: int = 1, batch: int = 4096
-) -> np.ndarray:
-    """Query counts of randomized_eval over `trials` fresh adversarial
-    instances, computed level-synchronously for all trials at once.
+def hard_query_law(depth: int, root_value: int = 1) -> np.ndarray:
+    """Exact law of randomized_eval's query count on the adversarial
+    distribution: law[q] = P(q leaves read), for q = 0 .. 2^depth.  Direct
+    convolution (cost ~4^depth) keeps every term non-negative; an FFT
+    would leave negative round-off in the tails."""
+    _check_hard_args(depth, root_value)
+    q0 = q1 = np.array([0.0, 1.0])
+    for _ in range(depth):
+        q10 = np.convolve(q1, q0)
+        q10[: q0.size] += q0
+        q0, q1 = np.convolve(q1, q1), 0.5 * q10
+    return q0 if root_value == 0 else q1
 
-    Coins are pre-drawn per node; the bottom-up combination
-    q = q_first + [first child == 1] * q_second reproduces exactly the
-    distribution of the short-circuit evaluator, since coins in an
-    unvisited subtree never influence the count.
-    """
-    rng = np.random.default_rng(seed)
-    out = []
-    done = 0
-    while done < trials:
-        m = min(batch, trials - done)
-        levels = [np.full((1, m), root_value, dtype=np.int8)]
-        for _ in range(depth):
-            v = levels[-1]
-            coins = rng.integers(0, 2, size=v.shape).astype(np.int8)
-            nxt = np.empty((2 * v.shape[0], m), dtype=np.int8)
-            nxt[0::2] = np.where(v == 0, 1, coins)
-            nxt[1::2] = np.where(v == 0, 1, 1 - coins)
-            levels.append(nxt)
-        q = np.ones(levels[depth].shape, dtype=np.int64)
-        for lvl in range(depth - 1, -1, -1):
-            vl = levels[lvl + 1][0::2]
-            vr = levels[lvl + 1][1::2]
-            ql, qr = q[0::2], q[1::2]
-            pick_left = rng.integers(0, 2, size=vl.shape).astype(bool)
-            v_first = np.where(pick_left, vl, vr)
-            q_first = np.where(pick_left, ql, qr)
-            q_second = np.where(pick_left, qr, ql)
-            q = q_first + np.where(v_first == 1, q_second, 0)
-        out.append(q[0])
-        done += m
-    return np.concatenate(out)
+
+def hard_query_samples(depth: int, trials: int, seed: int, root_value: int = 1) -> np.ndarray:
+    """Query counts of randomized_eval over `trials` fresh adversarial
+    instances: i.i.d. int64 draws from hard_query_law by inverse CDF."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    cdf = np.cumsum(hard_query_law(depth, root_value))
+    u = np.random.default_rng(seed).random(trials)
+    return np.searchsorted(cdf, u * cdf[-1], side="right").astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -106,21 +106,35 @@ def combine_y(y1: ProjectiveValue, y2: ProjectiveValue, E) -> ProjectiveValue:
     return _renormalized(num, den)
 
 
+# Energies per chunk of the y_bottom fold.  The fold is elementwise in E,
+# so chunking leaves every value bitwise unchanged and bounds the working
+# set at N x Y_BOTTOM_CHUNK.  At N = 1024 on a 16,384-point grid (one CPU),
+# 256 took 0.27-0.34 s with a 10 MiB tracemalloc peak, against 0.45-0.76 s
+# and 640 MiB for the whole grid; 512 and 1024 ran up to 2x slower than 256
+# under glibc's default allocator, which maps their 4-8 MB arrays afresh.
+Y_BOTTOM_CHUNK = 256
+
+
 def y_bottom(tree: TreeInput, E) -> ProjectiveValue:
     """Y on the root-to-runway edge, folded from all N leaves.
 
-    E may be a scalar or a 1-d grid; the fold is vectorized over the grid.
-    Satisfies y(-E) = -y(E).
+    E may be a scalar or a 1-d grid; the fold is vectorized over the grid,
+    Y_BOTTOM_CHUNK energies at a time.  Satisfies y(-E) = -y(E).
     """
     E_in = np.asarray(E, dtype=float)
     Ev = np.atleast_1d(E_in)
-    y = leaf_y(np.asarray(tree.bits)[:, None], Ev)
-    while y.num.shape[0] > 1:
-        y = combine_y(ProjectiveValue(y.num[0::2], y.den[0::2]),
-                      ProjectiveValue(y.num[1::2], y.den[1::2]), Ev)
+    bits = np.asarray(tree.bits)[:, None]
+    num, den = np.empty(Ev.shape), np.empty(Ev.shape)
+    for lo in range(0, Ev.size, Y_BOTTOM_CHUNK):
+        Ec = Ev[lo:lo + Y_BOTTOM_CHUNK]
+        y = leaf_y(bits, Ec)
+        while y.num.shape[0] > 1:
+            y = combine_y(ProjectiveValue(y.num[0::2], y.den[0::2]),
+                          ProjectiveValue(y.num[1::2], y.den[1::2]), Ec)
+        num[lo:lo + Y_BOTTOM_CHUNK], den[lo:lo + Y_BOTTOM_CHUNK] = y.num[0], y.den[0]
     if E_in.ndim == 0:
-        return ProjectiveValue(num=float(y.num[0, 0]), den=float(y.den[0, 0]))
-    return ProjectiveValue(num=y.num[0], den=y.den[0])
+        return ProjectiveValue(num=float(num[0]), den=float(den[0]))
+    return ProjectiveValue(num=num, den=den)
 
 
 def y_at_zero(tree: TreeInput) -> SymbolicY:

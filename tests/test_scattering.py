@@ -21,6 +21,7 @@ from nandwalk import (
     y_at_zero,
     y_bottom,
 )
+from nandwalk.scattering import Y_BOTTOM_CHUNK
 from conftest import random_tree
 
 
@@ -113,6 +114,22 @@ class TestYBottom:
         assert eval_nand(t) == 0
         y = y_bottom(t, 1e-4)
         assert float(y.magnitude) > 1.0 / (4.0 * 2.0 * 1e-4)  # > 1250
+
+    def test_chunked_fold_matches_scalar_folds_bitwise(self):
+        # three full chunks plus a remainder; the fold is elementwise in E
+        rng = np.random.default_rng(17)
+        t = random_tree(rng, 8)
+        grid = rng.uniform(-1.9, 1.9, 3 * Y_BOTTOM_CHUNK + 17)
+        yg = y_bottom(t, grid)
+        assert yg.num.shape == yg.den.shape == grid.shape
+        for i, E in enumerate(grid):
+            ys = [leaf_y(b, float(E)) for b in t.bits]
+            while len(ys) > 1:
+                ys = [combine_y(ys[2 * k], ys[2 * k + 1], float(E)) for k in range(len(ys) // 2)]
+            assert yg.num[i] == float(ys[0].num) and yg.den[i] == float(ys[0].den)
+        one = y_bottom(t, float(grid[-1]))
+        assert type(one.num) is float and type(one.den) is float
+        assert (one.num, one.den) == (yg.num[-1], yg.den[-1])
 
     def test_grid_evaluation_matches_scalars(self):
         t = parse_input("0110")
