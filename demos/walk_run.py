@@ -11,7 +11,6 @@ import numpy as np
 
 from nandwalk import (
     RunConfig,
-    apply_h,
     build_full,
     dense_eig,
     eval_nand,
@@ -37,7 +36,7 @@ for bits in ("0011", "0110"):
     print(f"packet: L={cfg.L}, sites -{cfg.L-1}..0, evolve for t={cfg.t_run}")
 
     psi0 = initial_packet(cfg.L, cfg.M, H.index_map)
-    hpsi = apply_h(H, psi0)
+    hpsi = H.matrix @ psi0
     print(f"packet moments: <H> = {np.vdot(psi0, hpsi).real:+.2e}, "
           f"<H^2> = {np.vdot(hpsi, hpsi).real:.6f} (= 5/L = {5.0/cfg.L:.6f})")
 

@@ -27,7 +27,6 @@ from .scattering import (
     BoundReport,
     DegenerateRecursionError,
     ProjectiveValue,
-    ScatteringPoint,
     SymbolicY,
     combine_y,
     energy_grid,
@@ -41,12 +40,10 @@ from .scattering import (
 from .lattice import (
     HamiltonianGraph,
     NodeIndexMap,
-    apply_h,
     build_driver,
     build_full,
     build_oracle,
     build_runway,
-    degrees,
     dense_eig,
     extra_node,
     runway_node,
@@ -57,20 +54,17 @@ from .dynamics import (
     Verdict,
     evolve_cheb,
     evolve_exact,
-    free_packet_at,
     initial_packet,
     prob_right,
     run_algorithm,
     translation_residual,
 )
 from .spectral import (
-    SpectrumProfile,
     band_mass,
     dispersion_smallness,
     error_budget,
     packet_spectrum,
     parseval_total,
-    spectrum_profile,
     tail_mass,
     window_weight,
 )

@@ -13,8 +13,9 @@ bipartite with classes A and B (NodeIndexMap.sublattice), and on it
 e^{-iHt} (P_A v + i P_B v) = P_A (C + S) v + i P_B (C - S) v for real v,
 with C = cos(Ht) and S = sin(Ht).  One real three-term recurrence
 T_k(H/s) v yields C v (even k) and S v (odd k).  A general state is a
-sum of two such terms, and the initial packet is a single one.  The
-dense eigendecomposition propagator is kept as the test oracle.
+sum of two such terms, and the initial packet is a single one.  It is
+the only propagator run_algorithm uses; the dense eigendecomposition
+propagator (evolve_exact with lattice.dense_eig) is the test oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from scipy.linalg.blas import daxpy
 from scipy.special import jv
 
 from .nand_core import TreeInput
-from .lattice import HamiltonianGraph, NodeIndexMap, build_full, dense_eig
+from .lattice import HamiltonianGraph, NodeIndexMap, build_full
 from .scattering import SymbolicY, y_at_zero
 
 # Every forest of maximum degree 3 with unit edge weights has ||H|| below
@@ -36,6 +37,8 @@ from .scattering import SymbolicY, y_at_zero
 SPECTRAL_RADIUS_BOUND = 2.0 * math.sqrt(2.0)
 MAX_DEGREE = 3
 NORM_DRIFT_BOUND = 1e-8
+CHEB_TOL = 1e-12  # Bessel-tail truncation of the Chebyshev series
+DECISION_THRESHOLD = 0.5  # decide 1 when p_right >= 1/2
 _QUARTER_PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])  # e^{i pi r / 2} by r mod 4
 
 
@@ -128,7 +131,7 @@ def _cos_sin(Hs, a: np.ndarray, v: np.ndarray):
     return cos_v, sin_v
 
 
-def evolve_cheb(H: HamiltonianGraph, psi: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
+def evolve_cheb(H: HamiltonianGraph, psi: np.ndarray, t: float, tol: float = CHEB_TOL) -> np.ndarray:
     """Polynomial approximation of e^{-iHt} psi in real arithmetic.
 
     Writes psi = chi(v1) + i chi(v2) with chi(v) = P_A v + i P_B v over the
@@ -180,9 +183,6 @@ class RunConfig:
     L: int
     M: int
     t_run: float
-    propagator: str = "auto"  # auto (= chebyshev) | chebyshev | exact (dense oracle)
-    tolerance: float = 1e-12
-    threshold: float = 0.5
 
     def __post_init__(self):
         if self.gamma < 1:
@@ -191,21 +191,14 @@ class RunConfig:
             raise ValueError("L must be an even integer >= 4")
         if self.M < 3 * self.L:
             raise ValueError("M must be >= 3 L (wall-insensitive margin)")
-        if self.propagator not in ("auto", "exact", "chebyshev"):
-            raise ValueError(f"unknown propagator {self.propagator!r}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie in (0, 1)")
 
     @classmethod
-    def for_tree(cls, n_leaves: int, gamma: float = 16.0, m_factor: int = 3,
-                 propagator: str = "auto", tolerance: float = 1e-12,
-                 threshold: float = 0.5) -> "RunConfig":
+    def for_tree(cls, n_leaves: int, gamma: float = 16.0, m_factor: int = 3) -> "RunConfig":
         """Derive L = gamma sqrt(N) (even, >= 4), M = m_factor L, t = L/2."""
         L = int(round(gamma * math.sqrt(n_leaves)))
         L += L % 2
         L = max(L, 4)
-        return cls(gamma=gamma, L=L, M=m_factor * L, t_run=L / 2.0,
-                   propagator=propagator, tolerance=tolerance, threshold=threshold)
+        return cls(gamma=gamma, L=L, M=m_factor * L, t_run=L / 2.0)
 
 
 @dataclass(frozen=True)
@@ -232,19 +225,15 @@ def run_algorithm(tree: TreeInput, config: RunConfig | None = None) -> Verdict:
         config = RunConfig.for_tree(tree.n_leaves)
     H = build_full(tree, config.M)
     psi0 = initial_packet(config.L, config.M, H.index_map)
-    method = "chebyshev" if config.propagator == "auto" else config.propagator
-    if method == "exact":
-        psi_t = evolve_exact(dense_eig(H), psi0, config.t_run)
-    else:
-        psi_t = evolve_cheb(H, psi0, config.t_run, config.tolerance)
+    psi_t = evolve_cheb(H, psi0, config.t_run, CHEB_TOL)
     drift = abs(float(np.linalg.norm(psi_t)) - 1.0)
     if drift > NORM_DRIFT_BOUND:
         raise ArithmeticError(
-            f"{method} propagator drifted the norm by {drift:.1e} (bound {NORM_DRIFT_BOUND:g})"
+            f"chebyshev propagator drifted the norm by {drift:.1e} (bound {NORM_DRIFT_BOUND:g})"
         )
     p = prob_right(psi_t, H.index_map)
     t0_sq = 1.0 if y_at_zero(tree) is SymbolicY.ZERO else 0.0
-    decision = 1 if p >= config.threshold else 0
+    decision = 1 if p >= DECISION_THRESHOLD else 0
     echo = {
         "bits": tree.to_text(),
         "N": tree.n_leaves,
@@ -252,36 +241,11 @@ def run_algorithm(tree: TreeInput, config: RunConfig | None = None) -> Verdict:
         "L": config.L,
         "M": config.M,
         "t_run": config.t_run,
-        "propagator": method,
-        "tolerance": config.tolerance,
-        "threshold": config.threshold,
+        "tolerance": CHEB_TOL,
+        "threshold": DECISION_THRESHOLD,
         "dim": H.dim,
     }
     return Verdict(decision=decision, p_right=p, analytic_T0_sq=t0_sq, config=echo)
-
-
-def free_packet_at(psi0: np.ndarray, index_map: NodeIndexMap, shift: float) -> np.ndarray:
-    """The initial runway packet translated by `shift` sites to the right,
-    under free right-moving dispersionless propagation.
-
-    Each source amplitude at site s contributes i^{r-s} sinc((r-s) - shift)
-    at site r: the band-limited interpolation of the shifted packet, which
-    also carries the quarter-period phase accumulated per site.  For
-    integer shifts this reduces to an exact translation times i^shift.
-    """
-    M = index_map.M
-    rs = np.arange(-M, M + 1)
-    src = psi0[index_map.runway_indices(rs)]
-    nz = np.nonzero(np.abs(src) > 0.0)[0]
-    out = np.zeros(2 * M + 1, dtype=complex)
-    if nz.size == 0:
-        return out
-    s = rs[nz]
-    amps = src[nz]
-    delta = rs[:, None] - s[None, :]
-    kernel = (1j) ** np.mod(delta, 4) * np.sinc(delta - shift)
-    out = kernel @ amps
-    return out
 
 
 def translation_residual(psi_t: np.ndarray, psi0: np.ndarray, T0: complex,
@@ -289,13 +253,22 @@ def translation_residual(psi_t: np.ndarray, psi0: np.ndarray, T0: complex,
     """L2 mismatch, over the right runway, between the evolved state and
     T0 times the freely translated packet.
 
-    Non-integer displacements 2t are handled by evaluating the reference
-    through its band-limited momentum representation (sinc interpolation).
+    The reference is the initial packet translated by 2t sites under free
+    right-moving dispersionless propagation: each source amplitude at site
+    s contributes i^{r-s} sinc((r-s) - 2t) at site r, the band-limited
+    interpolation of the shifted packet, which also carries the
+    quarter-period phase accumulated per site.  For integer 2t this reduces
+    to an exact translation times i^{2t}.
     """
     M = index_map.M
     if 2.0 * t > 2 * M:
         raise ValueError("displacement 2t exceeds the runway")
-    ref_runway = T0 * free_packet_at(psi0, index_map, 2.0 * t)
-    right = slice(M + 1, 2 * M + 1)  # runway-local indices for r = 1..M
-    measured = psi_t[index_map.runway_indices(np.arange(1, M + 1))]
-    return float(np.linalg.norm(measured - ref_runway[right]))
+    src_sites = np.arange(-M, M + 1)
+    src = psi0[index_map.runway_indices(src_sites)]
+    nz = np.nonzero(np.abs(src) > 0.0)[0]
+    rs = np.arange(1, M + 1)
+    delta = rs[:, None] - src_sites[nz][None, :]
+    kernel = (1j) ** np.mod(delta, 4) * np.sinc(delta - 2.0 * t)
+    ref = T0 * (kernel @ src[nz])
+    measured = psi_t[index_map.runway_indices(rs)]
+    return float(np.linalg.norm(measured - ref))

@@ -3,10 +3,14 @@
 Subcommands:
   eval          classical evaluation of an instance
   scatter       y(E)/T(E) table with reflect/transmit bound checks
-  run           one packet-scattering decision run (JSON verdict)
-  sweep         gamma x instance grid of runs (CSV)
+  run           one packet-scattering decision run at one gamma (JSON verdict)
+  sweep         gamma x instance grid of runs (CSV); NANDWALK_WORKERS sets
+                the number of worker processes
   embed-parity  build the parity embedding and verify it by brute force
   diagnose      packet-spectrum inequality checks (CSV)
+
+run and sweep decide through dynamics.run_algorithm and its Chebyshev
+propagator.
 
 Exit status: 0 success, 1 a verification failed, 2 usage error.  Output
 files embed the configuration hash, package version and column schema.
@@ -120,10 +124,15 @@ def _emit(text: str, out_path):
 
 
 def _worker_count() -> int:
+    """Sweep worker processes from NANDWALK_WORKERS (default 1, serial)."""
+    text = os.environ.get("NANDWALK_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("NANDWALK_WORKERS", "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"NANDWALK_WORKERS must be an integer >= 1, got {text!r}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -178,27 +187,13 @@ def _cmd_scatter(args) -> int:
 
 def _cmd_run(args) -> int:
     tree = parse_input(args.input)
-    if len(args.gamma) != 1:
-        raise ValueError("run takes a single --gamma; use sweep for several")
     if args.format == "csv":
         raise ValueError("run emits a json verdict; csv applies to scatter/sweep/diagnose")
-    config = RunConfig.for_tree(
-        tree.n_leaves,
-        gamma=args.gamma[0],
-        m_factor=args.m_factor,
-        propagator=args.propagator,
-        tolerance=args.tol,
-    )
+    config = RunConfig.for_tree(tree.n_leaves, gamma=args.gamma, m_factor=args.m_factor)
     verdict = run_algorithm(tree, config)
     exp = ExperimentConfig(
         command="run",
-        params={
-            "input": tree.to_text(),
-            "gamma": args.gamma[0],
-            "m_factor": args.m_factor,
-            "propagator": args.propagator,
-            "tol": args.tol,
-        },
+        params={"input": tree.to_text(), "gamma": args.gamma, "m_factor": args.m_factor},
     )
     payload = json.loads(verdict.to_json())
     payload["config_hash"] = exp.digest
@@ -213,12 +208,9 @@ def _cmd_run(args) -> int:
 
 
 def _sweep_task(task):
-    bits, gamma, m_factor, propagator, tol = task
+    bits, gamma, m_factor = task
     tree = TreeInput.from_bits(bits)
-    config = RunConfig.for_tree(
-        tree.n_leaves, gamma=gamma, m_factor=m_factor,
-        propagator=propagator, tolerance=tol,
-    )
+    config = RunConfig.for_tree(tree.n_leaves, gamma=gamma, m_factor=m_factor)
     verdict = run_algorithm(tree, config)
     nand = eval_nand(tree)
     return {
@@ -235,9 +227,17 @@ def _sweep_task(task):
     }
 
 
-def sweep(n_leaves: int, gammas, instances: int, seed: int,
-          m_factor: int = 3, propagator: str = "auto", tol: float = 1e-12):
-    """Run the gamma x instance grid; returns (rows, summary).
+@dataclass(frozen=True)
+class SweepSummary:
+    """Per-gamma error_rate and mean_abs_err (ascending gamma), and the
+    log-log slope of mean_abs_err against gamma (None for one gamma)."""
+
+    by_gamma: dict[float, dict]
+    fit_exponent: float | None
+
+
+def sweep(n_leaves: int, gammas, instances: int, seed: int, m_factor: int = 3):
+    """Run the gamma x instance grid; returns (rows, SweepSummary).
 
     Rows are ordered by (instance, gamma) grid index regardless of worker
     scheduling; instances are drawn once from the seed.
@@ -250,7 +250,7 @@ def sweep(n_leaves: int, gammas, instances: int, seed: int,
     ids = []
     for inst_id, bits in enumerate(bit_sets):
         for gamma in gammas:
-            tasks.append((bits, float(gamma), m_factor, propagator, tol))
+            tasks.append((bits, float(gamma), m_factor))
             ids.append(inst_id)
     workers = _worker_count()
     if workers > 1:
@@ -263,20 +263,20 @@ def sweep(n_leaves: int, gammas, instances: int, seed: int,
         rec = dict(rec)
         rec["instance_id"] = inst_id
         rows.append(rec)
-    summary = {}
-    for gamma in gammas:
-        sel = [r for r in rows if r["gamma"] == float(gamma)]
+    by_gamma = {}
+    for gamma in sorted(float(g) for g in gammas):
+        sel = [r for r in rows if r["gamma"] == gamma]
         errs = [abs(r["p_right"] - r["T0_sq"]) for r in sel]
-        summary[float(gamma)] = {
+        by_gamma[gamma] = {
             "error_rate": 1.0 - sum(r["correct"] for r in sel) / len(sel),
             "mean_abs_err": sum(errs) / len(errs),
         }
-    gs = sorted(summary)
-    if len(gs) >= 2:
-        xs = np.log(gs)
-        ys = np.log([max(summary[g]["mean_abs_err"], 1e-300) for g in gs])
-        summary["fit_exponent"] = float(np.polyfit(xs, ys, 1)[0])
-    return rows, summary
+    fit = None
+    if len(by_gamma) >= 2:
+        xs = np.log(list(by_gamma))
+        ys = np.log([max(s["mean_abs_err"], 1e-300) for s in by_gamma.values()])
+        fit = float(np.polyfit(xs, ys, 1)[0])
+    return rows, SweepSummary(by_gamma=by_gamma, fit_exponent=fit)
 
 
 def _cmd_sweep(args) -> int:
@@ -285,23 +285,19 @@ def _cmd_sweep(args) -> int:
         params={
             "n": args.n, "gamma": list(args.gamma), "instances": args.instances,
             "seed": args.seed, "m_factor": args.m_factor,
-            "propagator": args.propagator, "tol": args.tol,
         },
     )
-    rows, summary = sweep(
-        args.n, list(args.gamma), args.instances, args.seed,
-        m_factor=args.m_factor, propagator=args.propagator, tol=args.tol,
-    )
-    gammas = sorted(g for g in summary if isinstance(g, float))
-    json_summary = {f"{g:g}": summary[g] for g in gammas}
+    rows, summary = sweep(args.n, list(args.gamma), args.instances, args.seed,
+                          m_factor=args.m_factor)
+    json_summary = {f"{g:g}": s for g, s in summary.by_gamma.items()}
     footer = [
-        f"# summary gamma={g:g}: error_rate={summary[g]['error_rate']:.6f} "
-        f"mean_abs_err={summary[g]['mean_abs_err']:.6e}"
-        for g in gammas
+        f"# summary gamma={g:g}: error_rate={s['error_rate']:.6f} "
+        f"mean_abs_err={s['mean_abs_err']:.6e}"
+        for g, s in summary.by_gamma.items()
     ]
-    if "fit_exponent" in summary:
-        json_summary["fit_exponent"] = summary["fit_exponent"]
-        footer.append(f"# summary fit: mean_abs_err ~ gamma^{summary['fit_exponent']:.3f}")
+    if summary.fit_exponent is not None:
+        json_summary["fit_exponent"] = summary.fit_exponent
+        footer.append(f"# summary fit: mean_abs_err ~ gamma^{summary.fit_exponent:.3f}")
     emit_table(exp, SWEEP_COLUMNS, rows, args.format, args.out,
                summary=json_summary, footer=footer)
     return 0
@@ -395,11 +391,6 @@ def _cmd_diagnose(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-PROPAGATOR_HELP = ("auto and cheb: real-arithmetic Chebyshev expansion, the runtime "
-                   "propagator at every dim; exact: dense eigendecomposition, the test "
-                   "oracle (dim <= 4000)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nandwalk",
@@ -434,12 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="single decision run",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--input", required=True)
-    p.add_argument("--gamma", type=float, nargs="+", default=[16.0],
+    p.add_argument("--gamma", type=float, default=16.0,
                    help="packet-length multiplier L = gamma sqrt(N)")
     p.add_argument("--m-factor", type=int, default=3, help="half-runway M = m_factor * L")
-    p.add_argument("--propagator", choices=("auto", "cheb", "exact"), default="auto",
-                   help=PROPAGATOR_HELP)
-    p.add_argument("--tol", type=float, default=1e-12)
     add_common(p)
     p.set_defaults(func=_cmd_run, format="json")
 
@@ -450,9 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m-factor", type=int, default=3)
-    p.add_argument("--propagator", choices=("auto", "cheb", "exact"), default="auto",
-                   help=PROPAGATOR_HELP)
-    p.add_argument("--tol", type=float, default=1e-12)
     add_common(p)
     p.set_defaults(func=_cmd_sweep, format="csv")
 
@@ -479,9 +464,6 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    propagator = getattr(args, "propagator", None)
-    if propagator == "cheb":
-        args.propagator = "chebyshev"
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

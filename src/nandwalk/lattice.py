@@ -123,9 +123,6 @@ class HamiltonianGraph:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
     def edges(self) -> set:
         """Undirected edges as frozensets of node labels."""
         coo = self.matrix.tocoo()
@@ -134,12 +131,6 @@ class HamiltonianGraph:
             if u < v:
                 out.add(frozenset((self.index_map.node(int(u)), self.index_map.node(int(v)))))
         return out
-
-    def edge_list_text(self) -> str:
-        """Plain 'u v' flat-index pairs, one undirected edge per line."""
-        coo = self.matrix.tocoo()
-        pairs = sorted((int(u), int(v)) for u, v in zip(coo.row, coo.col) if u < v)
-        return "\n".join(f"{u} {v}" for u, v in pairs) + "\n"
 
 
 def _graph_from_edges(imap: NodeIndexMap, u, v) -> HamiltonianGraph:
@@ -182,19 +173,6 @@ def build_full(tree: TreeInput, M: int) -> HamiltonianGraph:
                             index_map=driver.index_map)
 
 
-def apply_h(H: HamiltonianGraph, v: np.ndarray) -> np.ndarray:
-    """w = H v (sparse matvec)."""
-    v = np.asarray(v)
-    if v.shape[0] != H.dim:
-        raise ValueError(f"vector length {v.shape[0]} != dim {H.dim}")
-    return H.matrix @ v
-
-
-def degrees(H: HamiltonianGraph) -> np.ndarray:
-    """Node degrees (row sums of |entries|)."""
-    return np.asarray(np.abs(H.matrix).sum(axis=1)).ravel()
-
-
 DENSE_EIG_CAP = 4000
 
 
@@ -206,5 +184,5 @@ def dense_eig(H: HamiltonianGraph, cap: int = DENSE_EIG_CAP):
     """
     if H.dim > cap:
         raise ValueError(f"dim {H.dim} exceeds dense eigensolver cap {cap}")
-    w, V = scipy.linalg.eigh(H.to_dense())
+    w, V = scipy.linalg.eigh(H.matrix.toarray())
     return w, V

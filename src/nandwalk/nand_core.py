@@ -12,7 +12,6 @@ of k bits as a k^2-leaf NAND-tree instance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,17 +58,6 @@ class TreeInput:
 
     def to_text(self) -> str:
         return "".join(str(b) for b in self.bits)
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.depth, "bits": self.to_text()}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TreeInput":
-        obj = json.loads(text)
-        tree = parse_input(obj["bits"])
-        if tree.depth != int(obj["n"]):
-            raise ValueError("json depth field inconsistent with bit string")
-        return tree
 
 
 @dataclass(frozen=True)

@@ -243,9 +243,11 @@ def scan_bounds(tree: TreeInput, grid, instance_id: int = 0) -> BoundReport:
     Reflecting (value 0) instances must satisfy |y| > 1/(4 sqrt(N) E) and
     |T| < 8 sqrt(N) E; transmitting (value 1) instances |y| < 4 sqrt(N) E
     and |T - 1| < 3 sqrt(N) E.  Every grid point must lie strictly inside
-    (0, 1/(16 sqrt(N))).
+    (0, 1/(16 sqrt(N))), and the grid must not be empty.
     """
     grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("energy grid is empty")
     N = tree.n_leaves
     root_n = math.sqrt(N)
     emax = 1.0 / (16.0 * root_n)

@@ -17,7 +17,6 @@ the transmission amplitude is pinned near its band-center value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -49,24 +48,6 @@ def packet_spectrum(L: int, phi):
     return A, B
 
 
-@dataclass(frozen=True)
-class SpectrumProfile:
-    """A and B sampled on a phi grid."""
-
-    phis: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    L: int
-
-
-def spectrum_profile(L: int, phis=None) -> SpectrumProfile:
-    if phis is None:
-        phis = np.linspace(-np.pi, np.pi, 2049)
-    phis = np.asarray(phis, dtype=float)
-    A, B = packet_spectrum(L, phis)
-    return SpectrumProfile(phis=phis, A=A, B=B, L=L)
-
-
 def _abs_a_squared(phi: float, L: int) -> float:
     # |A|^2 = sin^2(L phi / 2) / (L sin^2(phi / 2)), limit L at phi = 0
     s = math.sin(phi / 2.0)
@@ -81,6 +62,8 @@ def band_mass(L: int, lo: float, hi: float) -> float:
     The integrand oscillates with period 2 pi / L, so the range is split
     at the lobe boundaries and each lobe integrated adaptively.
     """
+    if L < 1:
+        raise ValueError("L must be >= 1")
     if hi < lo:
         raise ValueError("empty integration range")
     lobe = 2.0 * np.pi / L

@@ -13,7 +13,6 @@ from nandwalk import (
     RunConfig,
     SymbolicY,
     TreeInput,
-    apply_h,
     build_full,
     dense_eig,
     energy_grid,
@@ -101,7 +100,7 @@ def test_criterion_3_packet_moments():
         for L in (8, 32, 128):
             H = build_full(tree, M=3 * L)
             psi = initial_packet(L, 3 * L, H.index_map)
-            hpsi = apply_h(H, psi)
+            hpsi = H.matrix @ psi
             e1 = abs(np.vdot(psi, hpsi).real)
             e2 = abs(np.vdot(hpsi, hpsi).real - 5.0 / L)
             worst = max(worst, e1, e2)

@@ -7,7 +7,6 @@ import pytest
 from nandwalk import (
     HamiltonianGraph,
     RunConfig,
-    apply_h,
     build_full,
     build_runway,
     dense_eig,
@@ -32,7 +31,7 @@ class TestInitialPacket:
         H = build_full(parse_input("".join(map(str, bits))), M=3 * L)
         psi = initial_packet(L, 3 * L, H.index_map)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-14
-        hpsi = apply_h(H, psi)
+        hpsi = H.matrix @ psi
         assert abs(np.vdot(psi, hpsi).real) < 1e-12
         assert abs(np.vdot(hpsi, hpsi).real - 5.0 / L) < 1e-12
 
@@ -180,10 +179,6 @@ class TestRunConfig:
             RunConfig(gamma=2.0, L=7, M=24, t_run=3.5)
         with pytest.raises(ValueError):
             RunConfig(gamma=2.0, L=8, M=16, t_run=4.0)
-        with pytest.raises(ValueError):
-            RunConfig(gamma=2.0, L=8, M=24, t_run=4.0, propagator="magic")
-        with pytest.raises(ValueError):
-            RunConfig(gamma=2.0, L=8, M=24, t_run=4.0, threshold=1.5)
 
 
 class TestRunAlgorithm:
@@ -208,7 +203,6 @@ class TestRunAlgorithm:
         obj = json.loads(v.to_json())
         assert obj["decision"] == v.decision
         assert obj["config"]["bits"] == "0110"
-        assert obj["config"]["propagator"] == "chebyshev"
 
     def test_error_shrinks_with_gamma(self):
         for bits in ("0011", "0110"):
@@ -239,10 +233,13 @@ class TestRunAlgorithm:
 
     def test_chebyshev_backend_matches(self):
         t = parse_input("0011")
-        exact = run_algorithm(t, RunConfig.for_tree(4, gamma=8.0, propagator="exact"))
-        cheb = run_algorithm(t, RunConfig.for_tree(4, gamma=8.0, propagator="chebyshev"))
-        assert abs(exact.p_right - cheb.p_right) < 1e-9
-        assert exact.decision == cheb.decision
+        cfg = RunConfig.for_tree(4, gamma=8.0)
+        H = build_full(t, cfg.M)
+        psi0 = initial_packet(cfg.L, cfg.M, H.index_map)
+        exact = prob_right(evolve_exact(dense_eig(H), psi0, cfg.t_run), H.index_map)
+        cheb = run_algorithm(t, cfg)
+        assert abs(exact - cheb.p_right) < 1e-9
+        assert cheb.decision == int(exact >= 0.5)
 
 
 class TestTranslationResidual:

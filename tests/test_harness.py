@@ -58,6 +58,14 @@ class TestScatter:
         assert code == 0
         assert path.read_text().count("\n") >= 9
 
+    @pytest.mark.parametrize("emax", ["auto", "0.01"])
+    def test_empty_grid_is_usage_error(self, capsys, emax):
+        code, out, err = run_cli(capsys, "scatter", "--input", "01",
+                                 "--emax", emax, "--points", "0")
+        assert code == 2
+        assert out == ""
+        assert "empty" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "scatter", "--input", "11",
                                "--points", "4", "--format", "json")
@@ -77,11 +85,10 @@ class TestRun:
         assert obj["analytic_T0_sq"] == 0.0
         assert "config_hash" in obj and "version" in obj
 
-    def test_cheb_alias(self, capsys):
-        code, out, _ = run_cli(capsys, "run", "--input", "01",
-                               "--gamma", "8", "--propagator", "cheb")
-        assert code == 0
-        assert json.loads(out)["config"]["propagator"] == "chebyshev"
+    def test_several_gammas_are_a_usage_error(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--input", "01", "--gamma", "8", "16")
+        assert code == 2
+        assert out == ""
 
     def test_norm_drift_is_a_numerical_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(dynamics, "evolve_cheb", lambda H, psi, t, tol: 1.01 * psi)
@@ -133,9 +140,22 @@ class TestSweep:
             del os.environ["NANDWALK_WORKERS"]
         assert rows_serial == rows_par
 
+    @pytest.mark.parametrize("workers", ["two", "0", "-3"])
+    def test_malformed_worker_count_is_usage_error(self, capsys, monkeypatch, workers):
+        monkeypatch.setenv("NANDWALK_WORKERS", workers)
+        code, out, err = run_cli(capsys, "sweep", "--n", "4", "--gamma", "8",
+                                 "--instances", "1")
+        assert code == 2
+        assert out == ""
+        assert "NANDWALK_WORKERS" in err
+
     def test_summary_error_rate_shrinks(self):
-        _, summary = sweep(4, [4.0, 16.0], instances=4, seed=3)
-        assert summary[16.0]["mean_abs_err"] < summary[4.0]["mean_abs_err"]
+        _, summary = sweep(4, [16.0, 4.0], instances=4, seed=3)
+        assert list(summary.by_gamma) == [4.0, 16.0]
+        assert summary.by_gamma[16.0]["mean_abs_err"] < summary.by_gamma[4.0]["mean_abs_err"]
+        assert summary.fit_exponent < 0.0
+        _, single = sweep(4, [8.0], instances=1, seed=3)
+        assert single.fit_exponent is None
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--n", "4", "--gamma", "8", "16",
@@ -147,15 +167,14 @@ class TestSweep:
 
     def test_error_rate_nonincreasing_in_gamma(self):
         # 16 random instances at N=16 across a 16x gamma span
-        _, summary = sweep(16, [4.0, 16.0, 64.0], instances=16, seed=11,
-                           propagator="chebyshev")
-        rates = [summary[g]["error_rate"] for g in (4.0, 16.0, 64.0)]
+        _, summary = sweep(16, [4.0, 16.0, 64.0], instances=16, seed=11)
+        rates = [summary.by_gamma[g]["error_rate"] for g in (4.0, 16.0, 64.0)]
         assert rates[0] >= rates[1] >= rates[2]
         assert rates[2] == 0.0
-        errs = [summary[g]["mean_abs_err"] for g in (4.0, 16.0, 64.0)]
+        errs = [summary.by_gamma[g]["mean_abs_err"] for g in (4.0, 16.0, 64.0)]
         assert errs[0] > errs[1] > errs[2]
         # measured decay on these graphs; faster than the conservative -1/2
-        assert -1.1 <= summary["fit_exponent"] <= -0.7
+        assert -1.1 <= summary.fit_exponent <= -0.7
 
 
 class TestEmbedParityCommand:
@@ -189,6 +208,13 @@ class TestDiagnose:
         assert all(ln.endswith(",true") for ln in lines[1:])
         quantities = {ln.split(",")[2] for ln in lines[1:]}
         assert quantities == {"band_total", "tail_mass", "alt_peak", "cubic_dispersion"}
+
+    @pytest.mark.parametrize("L", ["0", "-16"])
+    def test_nonpositive_length_is_usage_error(self, capsys, L):
+        code, out, err = run_cli(capsys, "diagnose", "--L", L, "--eps", "0.1")
+        assert code == 2
+        assert out == ""
+        assert "L must be" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "diagnose", "--L", "16", "--eps", "0.1",

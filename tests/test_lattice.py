@@ -5,12 +5,10 @@ import pytest
 
 from nandwalk import (
     NodeIndexMap,
-    apply_h,
     build_driver,
     build_full,
     build_oracle,
     build_runway,
-    degrees,
     dense_eig,
     extra_node,
     parse_input,
@@ -92,7 +90,7 @@ class TestBuildOracle:
     def test_both_connections(self):
         H = build_oracle(parse_input("11"), 1)
         assert H.matrix.nnz == 4  # two undirected edges
-        d = H.to_dense()
+        d = H.matrix.toarray()
         assert np.array_equal(d, d.T)
         assert set(np.unique(d)) <= {-1.0, 0.0}
 
@@ -123,7 +121,7 @@ class TestBuildDriver:
 
     def test_degrees(self):
         H = build_driver(3, 6)
-        deg = degrees(H)
+        deg = np.diff(H.matrix.indptr)
         assert deg.max() == 3.0
         # runway endpoints have degree 1
         assert deg[H.index_map.index(runway_node(-6))] == 1.0
@@ -150,7 +148,7 @@ class TestBuildFull:
     def test_degree_census(self, rng):
         t = random_tree(rng, 8)
         H = build_full(t, M=4)
-        deg = degrees(H)
+        deg = np.diff(H.matrix.indptr)
         imap = H.index_map
         for i, b in enumerate(t.bits):
             assert deg[imap.index(extra_node(i))] == float(b)
@@ -184,7 +182,7 @@ class TestApplyH:
         imap = H.index_map
         v = np.zeros(H.dim)
         v[imap.index(runway_node(2))] = 1.0
-        w = apply_h(H, v)
+        w = H.matrix @ v
         expect = np.zeros(H.dim)
         expect[imap.index(runway_node(1))] = -1.0
         expect[imap.index(runway_node(3))] = -1.0
@@ -195,19 +193,19 @@ class TestApplyH:
         imap = H.index_map
         v = np.zeros(H.dim)
         v[imap.index(runway_node(0))] = 1.0
-        w = apply_h(H, v)
+        w = H.matrix @ v
         nz = {imap.node(int(i)) for i in np.nonzero(w)[0]}
         assert nz == {runway_node(-1), runway_node(1), tree_node(0, 0)}
         assert set(w[w != 0]) == {-1.0}
 
     def test_zero_vector(self):
         H = build_full(parse_input("01"), M=3)
-        assert not np.any(apply_h(H, np.zeros(H.dim)))
+        assert not np.any(H.matrix @ np.zeros(H.dim))
 
     def test_dimension_mismatch(self):
         H = build_full(parse_input("01"), M=3)
         with pytest.raises(ValueError):
-            apply_h(H, np.zeros(H.dim + 1))
+            H.matrix @ np.zeros(H.dim + 1)
 
 
 class TestDenseEig:
@@ -231,7 +229,7 @@ class TestDenseEig:
         H = build_full(t, M=12)
         w, V = dense_eig(H)
         hnorm = np.max(np.abs(w))
-        resid = H.to_dense() @ V - V * w
+        resid = H.matrix.toarray() @ V - V * w
         assert np.linalg.norm(resid, axis=0).max() <= 1e-10 * hnorm
         gram = V.T @ V
         assert np.max(np.abs(gram - np.eye(H.dim))) < 1e-10
@@ -246,14 +244,3 @@ class TestDenseEig:
         with pytest.raises(ValueError):
             dense_eig(H, cap=10)
 
-
-class TestExport:
-    def test_edge_list_text(self):
-        H = build_runway(1)
-        assert H.edge_list_text() == "0 1\n1 2\n"
-
-    def test_edge_list_counts(self):
-        t = parse_input("11")
-        H = build_full(t, M=2)
-        lines = H.edge_list_text().strip().split("\n")
-        assert len(lines) == H.matrix.nnz // 2

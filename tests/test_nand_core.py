@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -83,15 +82,6 @@ class TestParse:
     def test_rejects_single_leaf(self):
         with pytest.raises(NonPowerOfTwoError):
             parse_input("1")
-
-    def test_json_round_trip(self):
-        t = parse_input("0110")
-        assert t.to_json() == json.dumps({"bits": "0110", "n": 2}, sort_keys=True)
-        assert TreeInput.from_json(t.to_json()) == t
-
-    def test_json_inconsistent_depth(self):
-        with pytest.raises(ValueError):
-            TreeInput.from_json('{"n": 3, "bits": "0110"}')
 
 
 class TestEval:

@@ -15,7 +15,6 @@ from nandwalk import (
     packet_spectrum,
     parse_input,
     parseval_total,
-    spectrum_profile,
     tail_mass,
     window_weight,
 )
@@ -50,11 +49,6 @@ class TestPacketSpectrum:
                 assert A == pytest.approx(a, abs=1e-10)
                 assert B == pytest.approx(b, abs=1e-10)
 
-    def test_profile_shapes(self):
-        prof = spectrum_profile(32)
-        assert prof.phis.shape == prof.A.shape == prof.B.shape
-        assert prof.L == 32
-
     def test_alternating_bound_inside_window(self):
         # |B|^2 < 1 / (L cos^2(eps/2)) pointwise for |phi| < eps
         for L in (16, 64, 256):
@@ -66,6 +60,11 @@ class TestPacketSpectrum:
 
 
 class TestBandMass:
+    def test_rejects_nonpositive_length(self):
+        for L in (0, -16):
+            with pytest.raises(ValueError):
+                band_mass(L, -1.0, 1.0)
+
     def test_parseval(self):
         for L in (16, 64, 256):
             assert abs(parseval_total(L) - 1.0) < 1e-10
