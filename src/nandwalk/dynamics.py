@@ -13,9 +13,11 @@ bipartite with classes A and B (NodeIndexMap.sublattice), and on it
 e^{-iHt} (P_A v + i P_B v) = P_A (C + S) v + i P_B (C - S) v for real v,
 with C = cos(Ht) and S = sin(Ht).  One real three-term recurrence
 T_k(H/s) v yields C v (even k) and S v (odd k).  A general state is a
-sum of two such terms, and the initial packet is a single one.  It is
-the only propagator run_algorithm uses; the dense eigendecomposition
-propagator (evolve_exact with lattice.dense_eig) is the test oracle.
+sum of two such terms, and the initial packet is a single one.  The
+series is truncated at the fixed CHEB_TOL, at an order read off one
+window of Bessel orders.  It is the only propagator run_algorithm uses;
+the dense eigendecomposition propagator (evolve_exact with
+lattice.dense_eig) is the test oracle.
 """
 
 from __future__ import annotations
@@ -72,26 +74,19 @@ def evolve_exact(eig, psi: np.ndarray, t: float) -> np.ndarray:
     return V @ (np.exp(-1j * w * t) * (V.conj().T @ psi))
 
 
-def _chebyshev_coefficients(x: float, tol: float) -> np.ndarray:
+def _chebyshev_coefficients(x: float) -> np.ndarray:
     """Real coefficients (2 - d_k0) J_k(x) (1, 1, -1, -1)[k mod 4] of
-    cos(x y) (even k) and sin(x y) (odd k) in T_k(y), truncated where the
-    Bessel tail drops below tol."""
-    budget = int(10 * abs(x)) + 10_000
-    K = max(int(abs(x)) + 40, 60)
-    while True:
-        ks = np.arange(K + 1)
-        j = jv(ks, x)
-        beyond_turn = ks > abs(x)
-        small = (np.abs(j) < tol / 100.0) & beyond_turn
-        hits = np.nonzero(small)[0]
-        if hits.size:
-            ks = np.arange(int(hits[0]) + 9)
-            return (2.0 - (ks == 0)) * np.where(ks % 4 < 2, 1.0, -1.0) * jv(ks, x)
-        K *= 2
-        if K > budget:
-            raise RuntimeError(
-                f"Chebyshev expansion did not converge within {budget} terms"
-            )
+    cos(x y) (even k) and sin(x y) (odd k) in T_k(y), kept to 9 orders past
+    the first k > |x| with |J_k(x)| < CHEB_TOL / 100.  That k lies in one
+    window of |x| + 12 |x|^(1/3) + 50 orders: past the turning point, J_k(x)
+    decays like an Airy function of (k - |x|) / |x|^(1/3)."""
+    ks = np.arange(int(abs(x) + 12.0 * abs(x) ** (1.0 / 3.0)) + 50)
+    j = jv(ks, x)
+    hits = np.nonzero((np.abs(j) < CHEB_TOL / 100.0) & (ks > abs(x)))[0]
+    if not hits.size or hits[0] + 9 > ks.size:
+        raise RuntimeError(f"Chebyshev cut-off not found within {ks.size} orders")
+    ks = ks[: hits[0] + 9]
+    return (2.0 - (ks == 0)) * np.where(ks % 4 < 2, 1.0, -1.0) * j[: ks.size]
 
 
 def _check_forest(H: HamiltonianGraph, cls: np.ndarray) -> None:
@@ -131,7 +126,7 @@ def _cos_sin(Hs, a: np.ndarray, v: np.ndarray):
     return cos_v, sin_v
 
 
-def evolve_cheb(H: HamiltonianGraph, psi: np.ndarray, t: float, tol: float = CHEB_TOL) -> np.ndarray:
+def evolve_cheb(H: HamiltonianGraph, psi: np.ndarray, t: float) -> np.ndarray:
     """Polynomial approximation of e^{-iHt} psi in real arithmetic.
 
     Writes psi = chi(v1) + i chi(v2) with chi(v) = P_A v + i P_B v over the
@@ -139,12 +134,10 @@ def evolve_cheb(H: HamiltonianGraph, psi: np.ndarray, t: float, tol: float = CHE
     sigma = +1 on A, -1 on B.  Each nonzero v costs one real Chebyshev
     recurrence; the initial packet has v2 = 0.  The series uses the
     spectral radius bound 2 sqrt 2 and is truncated when the Bessel
-    coefficient tail falls below tol; norm drift stays within a small
-    multiple of tol.  Raises ValueError on a graph outside the bound's
-    premises (see _check_forest).
+    coefficient tail falls below CHEB_TOL; norm drift stays within a small
+    multiple of CHEB_TOL.  Raises ValueError on a graph outside the bound's
+    premises (see _check_forest), RuntimeError if the cut-off is not found.
     """
-    if tol < 1e-14:
-        raise ValueError("tolerance below 1e-14 is not resolvable in double precision")
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[0] != H.dim:
         raise ValueError("state dimension mismatch")
@@ -153,7 +146,7 @@ def evolve_cheb(H: HamiltonianGraph, psi: np.ndarray, t: float, tol: float = CHE
     cls = H.index_map.sublattice()
     _check_forest(H, cls)
     on_a = cls == 0
-    a = _chebyshev_coefficients(SPECTRAL_RADIUS_BOUND * t, tol)
+    a = _chebyshev_coefficients(SPECTRAL_RADIUS_BOUND * t)
     Hs = H.matrix * (2.0 / SPECTRAL_RADIUS_BOUND)
 
     def propagate(v):
@@ -185,8 +178,8 @@ class RunConfig:
     t_run: float
 
     def __post_init__(self):
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
+        if not 1 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 1")
         if self.L < 4 or self.L % 2:
             raise ValueError("L must be an even integer >= 4")
         if self.M < 3 * self.L:
@@ -195,6 +188,8 @@ class RunConfig:
     @classmethod
     def for_tree(cls, n_leaves: int, gamma: float = 16.0, m_factor: int = 3) -> "RunConfig":
         """Derive L = gamma sqrt(N) (even, >= 4), M = m_factor L, t = L/2."""
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma}")
         L = int(round(gamma * math.sqrt(n_leaves)))
         L += L % 2
         L = max(L, 4)
@@ -225,7 +220,7 @@ def run_algorithm(tree: TreeInput, config: RunConfig | None = None) -> Verdict:
         config = RunConfig.for_tree(tree.n_leaves)
     H = build_full(tree, config.M)
     psi0 = initial_packet(config.L, config.M, H.index_map)
-    psi_t = evolve_cheb(H, psi0, config.t_run, CHEB_TOL)
+    psi_t = evolve_cheb(H, psi0, config.t_run)
     drift = abs(float(np.linalg.norm(psi_t)) - 1.0)
     if drift > NORM_DRIFT_BOUND:
         raise ArithmeticError(

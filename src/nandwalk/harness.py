@@ -10,7 +10,8 @@ Subcommands:
   diagnose      packet-spectrum inequality checks (CSV)
 
 run and sweep decide through dynamics.run_algorithm and its Chebyshev
-propagator.
+propagator, with half-runway M = 3L.  eval writes text or json, run and
+embed-parity json, the tables csv or json.
 
 Exit status: 0 success, 1 a verification failed, 2 usage error.  Output
 files embed the configuration hash, package version and column schema.
@@ -187,13 +188,11 @@ def _cmd_scatter(args) -> int:
 
 def _cmd_run(args) -> int:
     tree = parse_input(args.input)
-    if args.format == "csv":
-        raise ValueError("run emits a json verdict; csv applies to scatter/sweep/diagnose")
-    config = RunConfig.for_tree(tree.n_leaves, gamma=args.gamma, m_factor=args.m_factor)
+    config = RunConfig.for_tree(tree.n_leaves, gamma=args.gamma)
     verdict = run_algorithm(tree, config)
     exp = ExperimentConfig(
         command="run",
-        params={"input": tree.to_text(), "gamma": args.gamma, "m_factor": args.m_factor},
+        params={"input": tree.to_text(), "gamma": args.gamma},
     )
     payload = json.loads(verdict.to_json())
     payload["config_hash"] = exp.digest
@@ -208,9 +207,9 @@ def _cmd_run(args) -> int:
 
 
 def _sweep_task(task):
-    bits, gamma, m_factor = task
+    bits, gamma = task
     tree = TreeInput.from_bits(bits)
-    config = RunConfig.for_tree(tree.n_leaves, gamma=gamma, m_factor=m_factor)
+    config = RunConfig.for_tree(tree.n_leaves, gamma=gamma)
     verdict = run_algorithm(tree, config)
     nand = eval_nand(tree)
     return {
@@ -236,7 +235,7 @@ class SweepSummary:
     fit_exponent: float | None
 
 
-def sweep(n_leaves: int, gammas, instances: int, seed: int, m_factor: int = 3):
+def sweep(n_leaves: int, gammas, instances: int, seed: int):
     """Run the gamma x instance grid; returns (rows, SweepSummary).
 
     Rows are ordered by (instance, gamma) grid index regardless of worker
@@ -250,7 +249,7 @@ def sweep(n_leaves: int, gammas, instances: int, seed: int, m_factor: int = 3):
     ids = []
     for inst_id, bits in enumerate(bit_sets):
         for gamma in gammas:
-            tasks.append((bits, float(gamma), m_factor))
+            tasks.append((bits, float(gamma)))
             ids.append(inst_id)
     workers = _worker_count()
     if workers > 1:
@@ -284,11 +283,10 @@ def _cmd_sweep(args) -> int:
         command="sweep",
         params={
             "n": args.n, "gamma": list(args.gamma), "instances": args.instances,
-            "seed": args.seed, "m_factor": args.m_factor,
+            "seed": args.seed,
         },
     )
-    rows, summary = sweep(args.n, list(args.gamma), args.instances, args.seed,
-                          m_factor=args.m_factor)
+    rows, summary = sweep(args.n, list(args.gamma), args.instances, args.seed)
     json_summary = {f"{g:g}": s for g, s in summary.by_gamma.items()}
     footer = [
         f"# summary gamma={g:g}: error_rate={s['error_rate']:.6f} "
@@ -309,8 +307,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_embed_parity(args) -> int:
-    if args.format == "csv":
-        raise ValueError("embed-parity emits a json report; csv applies to scatter/sweep/diagnose")
     k = args.k
     if args.bits is not None and len(args.bits) != k:
         raise ValueError(f"--bits has {len(args.bits)} bits; --k {k} needs {k}")
@@ -399,19 +395,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_out=True):
+    def add_common(p, formats, with_out=True):
         if with_out:
             p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (subcommand default if omitted)")
+        p.add_argument("--format", choices=formats, default=formats[0], help="output format")
 
     p = sub.add_parser("eval", help="classical NAND-tree evaluation",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--input", required=True, help="leaf bit string, length a power of two")
     p.add_argument("--seed", type=int, default=None,
                    help="also run the randomized evaluator with this seed (json output)")
-    add_common(p, with_out=False)
-    p.set_defaults(func=_cmd_eval, format="text")
+    add_common(p, ("text", "json"), with_out=False)
+    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("scatter", help="y(E)/T(E) table with bound checks",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -419,17 +414,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emax", default="auto",
                    help="'auto' for 1/(16 sqrt(N)), or an explicit upper energy")
     p.add_argument("--points", type=int, default=64)
-    add_common(p)
-    p.set_defaults(func=_cmd_scatter, format="csv")
+    add_common(p, ("csv", "json"))
+    p.set_defaults(func=_cmd_scatter)
 
     p = sub.add_parser("run", help="single decision run",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--input", required=True)
     p.add_argument("--gamma", type=float, default=16.0,
                    help="packet-length multiplier L = gamma sqrt(N)")
-    p.add_argument("--m-factor", type=int, default=3, help="half-runway M = m_factor * L")
-    add_common(p)
-    p.set_defaults(func=_cmd_run, format="json")
+    add_common(p, ("json",))
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="gamma x instance grid of runs",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -437,23 +431,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, nargs="+", default=[4.0, 16.0, 64.0])
     p.add_argument("--instances", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m-factor", type=int, default=3)
-    add_common(p)
-    p.set_defaults(func=_cmd_sweep, format="csv")
+    add_common(p, ("csv", "json"))
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("embed-parity", help="build and verify the parity embedding",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--k", type=int, required=True, help="number of parity variables (power of two)")
     p.add_argument("--bits", default=None, help="emit the instance for this assignment")
-    add_common(p)
-    p.set_defaults(func=_cmd_embed_parity, format="json")
+    add_common(p, ("json",))
+    p.set_defaults(func=_cmd_embed_parity)
 
     p = sub.add_parser("diagnose", help="packet-spectrum inequality checks",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--L", type=int, nargs="+", default=[16, 64, 256])
     p.add_argument("--eps", type=float, nargs="+", default=[0.1, 0.3])
-    add_common(p)
-    p.set_defaults(func=_cmd_diagnose, format="csv")
+    add_common(p, ("csv", "json"))
+    p.set_defaults(func=_cmd_diagnose)
 
     return parser
 

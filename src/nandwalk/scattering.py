@@ -251,7 +251,7 @@ def scan_bounds(tree: TreeInput, grid, instance_id: int = 0) -> BoundReport:
     N = tree.n_leaves
     root_n = math.sqrt(N)
     emax = 1.0 / (16.0 * root_n)
-    if np.any((grid <= 0.0) | (grid >= emax)):
+    if not np.all((grid > 0.0) & (grid < emax)):
         raise ValueError(f"grid energies must lie in (0, {emax})")
     nand = eval_nand(tree)
     y = y_bottom(tree, grid)

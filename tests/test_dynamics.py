@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
+import nandwalk.dynamics as dynamics
 from nandwalk import (
     HamiltonianGraph,
     RunConfig,
     build_full,
     build_runway,
+    cli_main,
     dense_eig,
     eval_nand,
     evolve_cheb,
@@ -19,6 +22,7 @@ from nandwalk import (
     run_algorithm,
     translation_residual,
 )
+from nandwalk.dynamics import CHEB_TOL, SPECTRAL_RADIUS_BOUND, _chebyshev_coefficients
 from conftest import random_tree
 
 
@@ -98,7 +102,7 @@ class TestChebyshevPropagator:
             t = random_tree(rng, n_leaves)
             H = build_full(t, M=3 * L)
             psi = initial_packet(L, 3 * L, H.index_map)
-            a = evolve_cheb(H, psi, t_run, tol=1e-12)
+            a = evolve_cheb(H, psi, t_run)
             b = evolve_exact(dense_eig(H), psi, t_run)
             assert np.linalg.norm(a - b) <= 1e-8
             assert abs(np.linalg.norm(a) - 1.0) <= 1e-10
@@ -126,7 +130,7 @@ class TestChebyshevPropagator:
         psi = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
         psi /= np.linalg.norm(psi)
         for t_run in (3.3, 40.0, -17.5):
-            a = evolve_cheb(H, psi, t_run, tol=1e-12)
+            a = evolve_cheb(H, psi, t_run)
             b = evolve_exact(eig, psi, t_run)
             assert np.linalg.norm(a - b) <= 1e-8
 
@@ -142,12 +146,31 @@ class TestChebyshevPropagator:
         with pytest.raises(ValueError):
             evolve_cheb(looped, psi, 1.0)
 
-    def test_rejects_unresolvable_tolerance(self, rng):
-        t = random_tree(rng, 4)
-        H = build_full(t, M=6)
-        psi = initial_packet(4, 6, H.index_map)
-        with pytest.raises(ValueError):
-            evolve_cheb(H, psi, 1.0, tol=1e-15)
+    def test_coefficients_match_wider_search(self):
+        # reference: the first k > |x| with |J_k(x)| < CHEB_TOL / 100, found
+        # in a tail window twice as wide, plus 9 orders; every coefficient is
+        # compared bitwise up to 2000 terms, a strided sample beyond
+        xs = np.r_[np.linspace(-40.0, 40.0, 161), -2896.3, 362.0, 1e3, 1e4, 1e5]
+        for x in xs:
+            a = _chebyshev_coefficients(x)
+            tail = np.arange(int(abs(x)) + 1, int(abs(x) + 24.0 * abs(x) ** (1 / 3)) + 100)
+            cut = tail[np.abs(jv(tail, x)) < CHEB_TOL / 100.0][0]
+            assert a.size == cut + 9
+            ks = np.unique(np.r_[0:a.size:max(1, a.size // 2000), a.size - 9:a.size])
+            ref = (2.0 - (ks == 0)) * np.where(ks % 4 < 2, 1.0, -1.0) * jv(ks, x)
+            assert a[ks].tobytes() == ref.tobytes()
+
+    def test_decide_large_term_count(self):
+        # N = 16384, gamma = 16: t = L/2 = 1024
+        assert _chebyshev_coefficients(SPECTRAL_RADIUS_BOUND * 1024.0).size == 3042
+
+    def test_missing_cutoff_is_a_numerical_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(dynamics, "jv", lambda ks, x: np.ones(np.shape(ks)))
+        H = build_full(parse_input("01"), M=12)
+        with pytest.raises(RuntimeError):
+            evolve_cheb(H, initial_packet(4, 12, H.index_map), 1.0)
+        assert cli_main(["run", "--input", "01", "--gamma", "4"]) == 1
+        assert "cut-off" in capsys.readouterr().err
 
 
 class TestProbRight:
@@ -179,6 +202,13 @@ class TestRunConfig:
             RunConfig(gamma=2.0, L=7, M=24, t_run=3.5)
         with pytest.raises(ValueError):
             RunConfig(gamma=2.0, L=8, M=16, t_run=4.0)
+
+    @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError):
+            RunConfig.for_tree(16, gamma=gamma)
+        with pytest.raises(ValueError):
+            RunConfig(gamma=gamma, L=8, M=24, t_run=4.0)
 
 
 class TestRunAlgorithm:

@@ -66,6 +66,13 @@ class TestScatter:
         assert out == ""
         assert "empty" in err
 
+    def test_nan_emax_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "scatter", "--input", "01",
+                                 "--emax", "nan", "--points", "3")
+        assert code == 2
+        assert out == ""
+        assert "grid energies" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "scatter", "--input", "11",
                                "--points", "4", "--format", "json")
@@ -90,8 +97,15 @@ class TestRun:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("gamma", ["inf", "nan"])
+    def test_non_finite_gamma_is_usage_error(self, capsys, gamma):
+        code, out, err = run_cli(capsys, "run", "--input", "01", "--gamma", gamma)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_norm_drift_is_a_numerical_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr(dynamics, "evolve_cheb", lambda H, psi, t, tol: 1.01 * psi)
+        monkeypatch.setattr(dynamics, "evolve_cheb", lambda H, psi, t: 1.01 * psi)
         code, out, err = run_cli(capsys, "run", "--input", "0110", "--gamma", "4")
         assert code == 1
         assert out == ""
@@ -130,6 +144,13 @@ class TestSweep:
                                "--instances", "0")
         assert code == 2
         assert "empty" in err
+
+    def test_non_finite_gamma_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--n", "4", "--gamma", "inf",
+                                 "--instances", "1")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
     def test_parallel_matches_serial(self):
         rows_serial, _ = sweep(4, [8.0], instances=3, seed=9)
@@ -252,6 +273,16 @@ class TestFormatErrors:
         assert code == 2
         assert "json" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--input", "0110"),
+        ("embed-parity", "--k", "4"),
+    ])
+    def test_csv_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert "invalid choice" in err
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -262,6 +293,14 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", ["eval", "scatter", "run", "sweep",
+                                         "embed-parity", "diagnose"])
+    def test_subcommand_help(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert "--format" in out
+        assert "--m-factor" not in out
 
 
 class TestExperimentConfig:

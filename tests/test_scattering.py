@@ -239,10 +239,9 @@ class TestScanBounds:
 
     def test_rejects_out_of_window_grid(self):
         t = parse_input("0110")
-        with pytest.raises(ValueError):
-            scan_bounds(t, [0.2])
-        with pytest.raises(ValueError):
-            scan_bounds(t, [0.0])
+        for grid in ([0.2], [0.0], [math.nan], [0.01, math.nan]):
+            with pytest.raises(ValueError):
+                scan_bounds(t, grid)
 
     def test_csv_round_trip(self, capsys):
         # the CSV table is written by the CLI's one emitter
