@@ -387,11 +387,18 @@ def _cmd_diagnose(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends each option's default to its help, except a default of None."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nandwalk",
         description="NAND-tree evaluation by wave-packet scattering on a tree+runway graph",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -401,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=formats[0], help="output format")
 
     p = sub.add_parser("eval", help="classical NAND-tree evaluation",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_HelpFormatter)
     p.add_argument("--input", required=True, help="leaf bit string, length a power of two")
     p.add_argument("--seed", type=int, default=None,
                    help="also run the randomized evaluator with this seed (json output)")
@@ -409,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("scatter", help="y(E)/T(E) table with bound checks",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_HelpFormatter)
     p.add_argument("--input", required=True)
     p.add_argument("--emax", default="auto",
                    help="'auto' for 1/(16 sqrt(N)), or an explicit upper energy")
@@ -418,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scatter)
 
     p = sub.add_parser("run", help="single decision run",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_HelpFormatter)
     p.add_argument("--input", required=True)
     p.add_argument("--gamma", type=float, default=16.0,
                    help="packet-length multiplier L = gamma sqrt(N)")
@@ -426,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="gamma x instance grid of runs",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_HelpFormatter)
     p.add_argument("--n", type=int, required=True, help="number of leaves N (power of two)")
     p.add_argument("--gamma", type=float, nargs="+", default=[4.0, 16.0, 64.0])
     p.add_argument("--instances", type=int, default=16)
@@ -435,14 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("embed-parity", help="build and verify the parity embedding",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_HelpFormatter)
     p.add_argument("--k", type=int, required=True, help="number of parity variables (power of two)")
     p.add_argument("--bits", default=None, help="emit the instance for this assignment")
     add_common(p, ("json",))
     p.set_defaults(func=_cmd_embed_parity)
 
     p = sub.add_parser("diagnose", help="packet-spectrum inequality checks",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_HelpFormatter)
     p.add_argument("--L", type=int, nargs="+", default=[16, 64, 256])
     p.add_argument("--eps", type=float, nargs="+", default=[0.1, 0.3])
     add_common(p, ("csv", "json"))

@@ -19,6 +19,13 @@ tree evaluates to 1 and 0 when it evaluates to 0.  Y is stored as a
 projective (num, den) pair so poles are ordinary data and the recursion
 never divides by zero.
 
+Equal ordered subtrees have equal Y, so y_bottom folds once per subtree
+type: a table labels the leaves by bit and each level's nodes by the
+ordered pair of their children's labels.  Height h holds at most
+min(N / 2^h, 2^(2^h)) types, 2 + 4 + 16 + 128 + 64 + ... + 1 = 277 of the
+2,047 nodes at N = 1024, and pairs keep their order, so every value is
+bitwise that of the fold over all nodes.
+
 For 0 < E < 1/(16 sqrt(N)) the root value is still readable from y(E):
 
     value 0 (reflect):   |y| > 1/(4 sqrt(N) E),   |T|     < 8 sqrt(N) E
@@ -108,10 +115,9 @@ def combine_y(y1: ProjectiveValue, y2: ProjectiveValue, E) -> ProjectiveValue:
 
 # Energies per chunk of the y_bottom fold.  The fold is elementwise in E,
 # so chunking leaves every value bitwise unchanged and bounds the working
-# set at N x Y_BOTTOM_CHUNK.  At N = 1024 on a 16,384-point grid (one CPU),
-# 256 took 0.27-0.34 s with a 10 MiB tracemalloc peak, against 0.45-0.76 s
-# and 640 MiB for the whole grid; 512 and 1024 ran up to 2x slower than 256
-# under glibc's default allocator, which maps their 4-8 MB arrays afresh.
+# set at (subtree types) x Y_BOTTOM_CHUNK.  At N = 1024 on a 16,384-point
+# grid (one CPU) the type-table fold takes ~0.07 s, against 0.32 s for the
+# fold over all 2,047 nodes; chunks of 256 to 2,048 ran within noise.
 Y_BOTTOM_CHUNK = 256
 
 
@@ -123,14 +129,19 @@ def y_bottom(tree: TreeInput, E) -> ProjectiveValue:
     """
     E_in = np.asarray(E, dtype=float)
     Ev = np.atleast_1d(E_in)
-    bits = np.asarray(tree.bits)[:, None]
+    leaf_bits, label = np.unique(np.asarray(tree.bits), return_inverse=True)
+    levels, n_types = [], leaf_bits.size
+    while label.size > 1:
+        types, label = np.unique(label[0::2] * n_types + label[1::2], return_inverse=True)
+        levels.append(divmod(types, n_types))
+        n_types = types.size
     num, den = np.empty(Ev.shape), np.empty(Ev.shape)
     for lo in range(0, Ev.size, Y_BOTTOM_CHUNK):
         Ec = Ev[lo:lo + Y_BOTTOM_CHUNK]
-        y = leaf_y(bits, Ec)
-        while y.num.shape[0] > 1:
-            y = combine_y(ProjectiveValue(y.num[0::2], y.den[0::2]),
-                          ProjectiveValue(y.num[1::2], y.den[1::2]), Ec)
+        y = leaf_y(leaf_bits[:, None], Ec)
+        for left, right in levels:
+            y = combine_y(ProjectiveValue(y.num[left], y.den[left]),
+                          ProjectiveValue(y.num[right], y.den[right]), Ec)
         num[lo:lo + Y_BOTTOM_CHUNK], den[lo:lo + Y_BOTTOM_CHUNK] = y.num[0], y.den[0]
     if E_in.ndim == 0:
         return ProjectiveValue(num=float(num[0]), den=float(den[0]))

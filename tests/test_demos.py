@@ -1,17 +1,21 @@
 """Every name a demo imports from nandwalk exists on the package.
 
 The demos are parsed, not run (running all six takes seconds), so a
-removed or renamed export fails here instead of only in the demo.
+removed or renamed export fails here instead of only in the demo.  The
+scattering demo alone is also run in-process: it is the one that drives
+y_bottom, scattering_point and scan_bounds end to end.
 """
 
 import ast
+import runpy
 from pathlib import Path
 
 import pytest
 
 import nandwalk
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+DEMOS = sorted(DEMO_DIR.glob("*.py"))
 
 
 def test_demos_found():
@@ -27,3 +31,9 @@ def test_imported_names_exist(path):
     assert names, f"{path.name} imports nothing from nandwalk"
     missing = [n for n in names if not hasattr(nandwalk, n)]
     assert not missing, f"{path.name} imports missing names {missing}"
+
+
+def test_scattering_demo_runs(capsys):
+    runpy.run_path(str(DEMO_DIR / "scattering_transmission.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert out.count("-> 0 violations") == 2

@@ -302,6 +302,13 @@ class TestUsage:
         assert "--format" in out
         assert "--m-factor" not in out
 
+    @pytest.mark.parametrize("command", ["eval", "scatter", "run", "sweep",
+                                         "embed-parity", "diagnose"])
+    def test_help_states_each_default_once(self, capsys, command):
+        _, out, _ = run_cli(capsys, command, "--help")
+        assert "(default: None)" not in out
+        assert out.count("(default: stdout)") == ("--out" in out)
+
 
 class TestExperimentConfig:
     def test_hash_stable_and_canonical(self):

@@ -13,6 +13,7 @@ from nandwalk import (
     combine_y,
     energy_grid,
     eval_nand,
+    hard_instance,
     leaf_y,
     parse_input,
     scan_bounds,
@@ -21,6 +22,7 @@ from nandwalk import (
     y_at_zero,
     y_bottom,
 )
+import nandwalk.scattering as scattering
 from nandwalk.scattering import Y_BOTTOM_CHUNK
 from conftest import random_tree
 
@@ -146,6 +148,78 @@ class TestYBottom:
             y = y_bottom(t, E)
             assert np.isfinite(y.num) and np.isfinite(y.den)
             assert max(abs(float(y.num)), abs(float(y.den))) == pytest.approx(1.0)
+
+
+def plain_fold(bits, E):
+    """Every one of the 2N - 1 nodes, level by level, with leaf_y and combine_y."""
+    E = np.atleast_1d(np.asarray(E, dtype=float))
+    y = leaf_y(np.asarray(bits)[:, None], E)
+    while y.num.shape[0] > 1:
+        y = combine_y(ProjectiveValue(y.num[0::2], y.den[0::2]),
+                      ProjectiveValue(y.num[1::2], y.den[1::2]), E)
+    return y.num[0], y.den[0]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestSubtreeDedup:
+    """y_bottom folds once per distinct ordered subtree, bitwise as the plain fold."""
+
+    GRID = np.random.default_rng(23).uniform(-1.9, 1.9, 3 * Y_BOTTOM_CHUNK + 17)
+
+    def assert_bitwise(self, tree):
+        y = y_bottom(tree, self.GRID)
+        num, den = plain_fold(tree.bits, self.GRID)
+        assert same_bits(y.num, num) and same_bits(y.den, den)
+        E = float(self.GRID[5])
+        one = y_bottom(tree, E)
+        assert type(one.num) is float and type(one.den) is float
+        assert same_bits(one.num, num[5]) and same_bits(one.den, den[5])
+
+    @pytest.mark.parametrize("depth", range(1, 11))
+    def test_random_trees(self, depth):
+        rng = np.random.default_rng(100 + depth)
+        for _ in range(3):
+            self.assert_bitwise(random_tree(rng, 2**depth))
+
+    @pytest.mark.parametrize("root", [0, 1])
+    @pytest.mark.parametrize("depth", [1, 2, 5, 10])
+    def test_hard_instances(self, depth, root):
+        # adversarial draws swap children at random
+        self.assert_bitwise(hard_instance(depth, 31 * depth + root, root))
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_constant_trees(self, bit):
+        for depth in range(1, 11):
+            self.assert_bitwise(TreeInput.from_bits([bit] * 2**depth))
+
+    def test_rows_per_height_bounded(self, monkeypatch):
+        rows = []
+
+        def counting(y1, y2, E):
+            rows.append(y1.num.shape[0])
+            return combine_y(y1, y2, E)
+
+        monkeypatch.setattr(scattering, "combine_y", counting)
+        rng = np.random.default_rng(29)
+        trees = [random_tree(rng, 1024), hard_instance(10, 3, 0), hard_instance(10, 4, 1),
+                 TreeInput.from_bits([0, 1] * 512)]
+        for tree in trees:
+            rows.clear()
+            y_bottom(tree, 0.3)
+            N = tree.n_leaves
+            assert len(rows) == 10
+            for h, n in enumerate(rows, start=1):
+                assert 1 <= n <= min(N // 2**h, 2 ** 2**h)
+            assert rows[-1] == 1
+            assert sum(rows) + 2 <= 277
+
+    def test_degenerate_still_raises(self):
+        with pytest.raises(DegenerateRecursionError):
+            y_bottom(parse_input("0011"), [0.5, 0.0])
 
 
 class TestYAtZero:

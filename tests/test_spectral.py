@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -65,6 +66,11 @@ class TestBandMass:
             with pytest.raises(ValueError):
                 band_mass(L, -1.0, 1.0)
 
+    def test_zero_width_range_is_zero(self):
+        # no quadrature node may land on the removable singularity at phi = 0
+        for x in (0.0, 0.3):
+            assert band_mass(16, x, x) == 0.0
+
     def test_parseval(self):
         for L in (16, 64, 256):
             assert abs(parseval_total(L) - 1.0) < 1e-10
@@ -75,14 +81,15 @@ class TestBandMass:
         assert total == pytest.approx(parseval_total(L), abs=1e-11)
 
     def test_matches_exact_cosine_series(self):
-        # independent oracle: integrate the Fejer-type expansion term by term
-        L, eps = 32, 0.2
-        d = np.arange(1, L)
-        exact = (math.pi - eps) / math.pi - (2.0 / (math.pi * L)) * np.sum(
-            (L - d) * np.sin(d * eps) / d
-        )
-        tail = band_mass(L, eps, math.pi) + band_mass(L, -math.pi, -eps)
-        assert tail == pytest.approx(exact, abs=1e-11)
+        # independent oracle: integrate the Fejer-type expansion term by term,
+        # at the packet lengths the benchmark uses
+        for L, eps in itertools.product((32, 512, 1024), (0.1, 0.2, 1.0)):
+            d = np.arange(1, L)
+            exact = (math.pi - eps) / math.pi - (2.0 / (math.pi * L)) * np.sum(
+                (L - d) * np.sin(d * eps) / d
+            )
+            tail = band_mass(L, eps, math.pi) + band_mass(L, -math.pi, -eps)
+            assert tail == pytest.approx(exact, abs=1e-11), (L, eps)
 
     def test_band_total_equals_state_norm(self):
         # the spectrum carries exactly the packet's probability
