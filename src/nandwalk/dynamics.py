@@ -229,17 +229,8 @@ def run_algorithm(tree: TreeInput, config: RunConfig | None = None) -> Verdict:
     p = prob_right(psi_t, H.index_map)
     t0_sq = 1.0 if y_at_zero(tree) is SymbolicY.ZERO else 0.0
     decision = 1 if p >= DECISION_THRESHOLD else 0
-    echo = {
-        "bits": tree.to_text(),
-        "N": tree.n_leaves,
-        "gamma": config.gamma,
-        "L": config.L,
-        "M": config.M,
-        "t_run": config.t_run,
-        "tolerance": CHEB_TOL,
-        "threshold": DECISION_THRESHOLD,
-        "dim": H.dim,
-    }
+    echo = {"bits": tree.to_text(), "N": tree.n_leaves, **asdict(config),
+            "tolerance": CHEB_TOL, "threshold": DECISION_THRESHOLD, "dim": H.dim}
     return Verdict(decision=decision, p_right=p, analytic_T0_sq=t0_sq, config=echo)
 
 

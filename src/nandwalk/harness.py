@@ -13,21 +13,22 @@ run and sweep decide through dynamics.run_algorithm and its Chebyshev
 propagator, with half-runway M = 3L.  eval writes text or json, run and
 embed-parity json, the tables csv or json.
 
-Exit status: 0 success, 1 a verification failed, 2 usage error.  Output
-files embed the configuration hash, package version and column schema.
+Exit status: 0 success, 1 a verification failed, 2 usage error.  The
+tables carry the configuration hash, package version, column schema and
+generation time; run json carries the hash and version; eval and
+embed-parity output carry none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -79,7 +80,7 @@ PARAM_COLUMNS = frozenset({"gamma", "t_run", "T0_sq", "eps"})
 def csv_cell(column: str, value) -> str:
     """One CSV cell: true/false, nan for None, %g for parameter columns,
     %.12e for every other float, str for the rest."""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "nan"
@@ -173,8 +174,7 @@ def _cmd_scatter(args) -> int:
         command="scatter",
         params={"input": tree.to_text(), "emax": args.emax, "points": args.points},
     )
-    rows = [dict(zip(CSV_COLUMNS, dataclasses.astuple(r))) for r in report.rows]
-    emit_table(config, CSV_COLUMNS, rows, args.format, args.out)
+    emit_table(config, CSV_COLUMNS, report.rows, args.format, args.out)
     if not report.all_pass:
         print(f"{len(report.violations)} bound violations", file=sys.stderr)
         return 1
@@ -194,9 +194,7 @@ def _cmd_run(args) -> int:
         command="run",
         params={"input": tree.to_text(), "gamma": args.gamma},
     )
-    payload = json.loads(verdict.to_json())
-    payload["config_hash"] = exp.digest
-    payload["version"] = __version__
+    payload = {**asdict(verdict), "config_hash": exp.digest, "version": __version__}
     _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -207,23 +205,17 @@ def _cmd_run(args) -> int:
 
 
 def _sweep_task(task):
-    bits, gamma = task
+    """One sweep row (SWEEP_COLUMNS) for an (instance_id, bits, gamma) task."""
+    instance_id, bits, gamma = task
     tree = TreeInput.from_bits(bits)
     config = RunConfig.for_tree(tree.n_leaves, gamma=gamma)
     verdict = run_algorithm(tree, config)
     nand = eval_nand(tree)
-    return {
-        "N": tree.n_leaves,
-        "gamma": gamma,
-        "L": config.L,
-        "M": config.M,
-        "t_run": config.t_run,
-        "p_right": verdict.p_right,
-        "T0_sq": verdict.analytic_T0_sq,
-        "decision": verdict.decision,
-        "nand": nand,
-        "correct": int(verdict.decision == nand),
-    }
+    return dict(zip(SWEEP_COLUMNS, (
+        tree.n_leaves, instance_id, gamma, config.L, config.M, config.t_run,
+        verdict.p_right, verdict.analytic_T0_sq, verdict.decision, nand,
+        int(verdict.decision == nand),
+    )))
 
 
 @dataclass(frozen=True)
@@ -245,23 +237,14 @@ def sweep(n_leaves: int, gammas, instances: int, seed: int):
         raise ValueError("sweep grid is empty")
     rng = np.random.default_rng(seed)
     bit_sets = [tuple(int(b) for b in rng.integers(0, 2, n_leaves)) for _ in range(instances)]
-    tasks = []
-    ids = []
-    for inst_id, bits in enumerate(bit_sets):
-        for gamma in gammas:
-            tasks.append((bits, float(gamma)))
-            ids.append(inst_id)
+    tasks = [(inst_id, bits, float(gamma))
+             for inst_id, bits in enumerate(bit_sets) for gamma in gammas]
     workers = _worker_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_task, tasks))
+            rows = list(pool.map(_sweep_task, tasks))
     else:
-        results = [_sweep_task(t) for t in tasks]
-    rows = []
-    for inst_id, rec in zip(ids, results):
-        rec = dict(rec)
-        rec["instance_id"] = inst_id
-        rows.append(rec)
+        rows = [_sweep_task(t) for t in tasks]
     by_gamma = {}
     for gamma in sorted(float(g) for g in gammas):
         sel = [r for r in rows if r["gamma"] == gamma]
@@ -347,36 +330,30 @@ def _cmd_diagnose(args) -> int:
     exp = ExperimentConfig(
         command="diagnose", params={"L": list(args.L), "eps": list(args.eps)},
     )
-    records = []
-    ok = True
-
-    def row(L, eps, quantity, value, bound, passed):
-        nonlocal ok
-        ok = ok and passed
-        records.append({"L": L, "eps": eps, "quantity": quantity,
-                        "value": value, "bound": bound, "pass": passed})
-
+    checks = []
     for L in args.L:
         total = parseval_total(L)
-        row(L, None, "band_total", total, 1.0, abs(total - 1.0) < 1e-10)
+        checks.append((L, None, "band_total", total, 1.0, abs(total - 1.0) < 1e-10))
         for eps in args.eps:
             tail = tail_mass(L, eps)
-            row(L, eps, "tail_mass", tail, math.pi / (L * eps), tail < math.pi / (L * eps))
+            checks.append((L, eps, "tail_mass", tail, math.pi / (L * eps),
+                           tail < math.pi / (L * eps)))
             phis = np.linspace(-eps, eps, 1001)
             _, B = packet_spectrum(L, phis)
             worst = float(np.max(np.abs(B) ** 2))
             b_bound = 1.0 / (L * math.cos(eps / 2.0) ** 2)
-            row(L, eps, "alt_peak", worst, b_bound, worst < b_bound)
+            checks.append((L, eps, "alt_peak", worst, b_bound, worst < b_bound))
     # cubic-dispersion smallness applies to the algorithm's own pairing of
     # packet length and energy window: L = gamma sqrt(N), eps = 1/(16 sqrt(N))
     for gamma in (16.0, 64.0, 256.0):
         for n_leaves in (4, 1024):
             root = math.sqrt(n_leaves)
             small = dispersion_smallness(gamma * root, 1.0 / (16.0 * root))
-            row(int(gamma * root), 1.0 / (16.0 * root), "cubic_dispersion",
-                small, 0.1, small < 0.1)
-    emit_table(exp, DIAG_COLUMNS, records, args.format, args.out)
-    if not ok:
+            checks.append((int(gamma * root), 1.0 / (16.0 * root), "cubic_dispersion",
+                           small, 0.1, small < 0.1))
+    rows = [dict(zip(DIAG_COLUMNS, c)) for c in checks]
+    emit_table(exp, DIAG_COLUMNS, rows, args.format, args.out)
+    if not all(r["pass"] for r in rows):
         print("diagnostic inequality violated", file=sys.stderr)
         return 1
     return 0
@@ -407,53 +384,46 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=formats, default=formats[0], help="output format")
 
-    p = sub.add_parser("eval", help="classical NAND-tree evaluation",
-                       formatter_class=_HelpFormatter)
+    def command(name, help, func):
+        p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("eval", "classical NAND-tree evaluation", _cmd_eval)
     p.add_argument("--input", required=True, help="leaf bit string, length a power of two")
     p.add_argument("--seed", type=int, default=None,
                    help="also run the randomized evaluator with this seed (json output)")
     add_common(p, ("text", "json"), with_out=False)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("scatter", help="y(E)/T(E) table with bound checks",
-                       formatter_class=_HelpFormatter)
+    p = command("scatter", "y(E)/T(E) table with bound checks", _cmd_scatter)
     p.add_argument("--input", required=True)
     p.add_argument("--emax", default="auto",
                    help="'auto' for 1/(16 sqrt(N)), or an explicit upper energy")
     p.add_argument("--points", type=int, default=64)
     add_common(p, ("csv", "json"))
-    p.set_defaults(func=_cmd_scatter)
 
-    p = sub.add_parser("run", help="single decision run",
-                       formatter_class=_HelpFormatter)
+    p = command("run", "single decision run", _cmd_run)
     p.add_argument("--input", required=True)
     p.add_argument("--gamma", type=float, default=16.0,
                    help="packet-length multiplier L = gamma sqrt(N)")
     add_common(p, ("json",))
-    p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("sweep", help="gamma x instance grid of runs",
-                       formatter_class=_HelpFormatter)
+    p = command("sweep", "gamma x instance grid of runs", _cmd_sweep)
     p.add_argument("--n", type=int, required=True, help="number of leaves N (power of two)")
     p.add_argument("--gamma", type=float, nargs="+", default=[4.0, 16.0, 64.0])
     p.add_argument("--instances", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     add_common(p, ("csv", "json"))
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("embed-parity", help="build and verify the parity embedding",
-                       formatter_class=_HelpFormatter)
+    p = command("embed-parity", "build and verify the parity embedding", _cmd_embed_parity)
     p.add_argument("--k", type=int, required=True, help="number of parity variables (power of two)")
     p.add_argument("--bits", default=None, help="emit the instance for this assignment")
     add_common(p, ("json",))
-    p.set_defaults(func=_cmd_embed_parity)
 
-    p = sub.add_parser("diagnose", help="packet-spectrum inequality checks",
-                       formatter_class=_HelpFormatter)
+    p = command("diagnose", "packet-spectrum inequality checks", _cmd_diagnose)
     p.add_argument("--L", type=int, nargs="+", default=[16, 64, 256])
     p.add_argument("--eps", type=float, nargs="+", default=[0.1, 0.3])
     add_common(p, ("csv", "json"))
-    p.set_defaults(func=_cmd_diagnose)
 
     return parser
 

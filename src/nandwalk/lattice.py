@@ -176,13 +176,13 @@ def build_full(tree: TreeInput, M: int) -> HamiltonianGraph:
 DENSE_EIG_CAP = 4000
 
 
-def dense_eig(H: HamiltonianGraph, cap: int = DENSE_EIG_CAP):
+def dense_eig(H: HamiltonianGraph):
     """Full symmetric eigendecomposition (ascending eigenvalues).
 
     The reference oracle for propagation and spectral diagnostics; refuses
-    dimensions above `cap`.
+    dimensions above DENSE_EIG_CAP.
     """
-    if H.dim > cap:
-        raise ValueError(f"dim {H.dim} exceeds dense eigensolver cap {cap}")
+    if H.dim > DENSE_EIG_CAP:
+        raise ValueError(f"dim {H.dim} exceeds dense eigensolver cap {DENSE_EIG_CAP}")
     w, V = scipy.linalg.eigh(H.matrix.toarray())
     return w, V

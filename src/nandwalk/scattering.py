@@ -128,6 +128,8 @@ def y_bottom(tree: TreeInput, E) -> ProjectiveValue:
     Y_BOTTOM_CHUNK energies at a time.  Satisfies y(-E) = -y(E).
     """
     E_in = np.asarray(E, dtype=float)
+    if E_in.ndim > 1:
+        raise ValueError(f"E must be a scalar or a 1-d grid, got shape {E_in.shape}")
     Ev = np.atleast_1d(E_in)
     leaf_bits, label = np.unique(np.asarray(tree.bits), return_inverse=True)
     levels, n_types = [], leaf_bits.size
@@ -217,35 +219,23 @@ def energy_grid(n_leaves: int, points: int = 64, emin: float = 1e-8) -> np.ndarr
     return np.geomspace(emin, emax * (1.0 - 1e-9), points)
 
 
-@dataclass(frozen=True)
-class BoundRow:
-    N: int
-    instance_id: int
-    E: float
-    nand: int
-    abs_y: float
-    abs_T: float
-    bound_y: float
-    bound_T: float
-    passed: bool
-
-
 CSV_COLUMNS = ("N", "instance_id", "E", "nand", "abs_y", "abs_T", "bound_y", "bound_T", "pass")
 
 
 @dataclass
 class BoundReport:
-    """Pointwise reflect/transmit bound checks over an energy grid."""
+    """Pointwise reflect/transmit bound checks over an energy grid: one
+    dict per energy, keyed by CSV_COLUMNS."""
 
     rows: list
 
     @property
     def all_pass(self) -> bool:
-        return all(r.passed for r in self.rows)
+        return all(r["pass"] for r in self.rows)
 
     @property
     def violations(self) -> list:
-        return [r for r in self.rows if not r.passed]
+        return [r for r in self.rows if not r["pass"]]
 
 
 def scan_bounds(tree: TreeInput, grid, instance_id: int = 0) -> BoundReport:
@@ -254,7 +244,9 @@ def scan_bounds(tree: TreeInput, grid, instance_id: int = 0) -> BoundReport:
     Reflecting (value 0) instances must satisfy |y| > 1/(4 sqrt(N) E) and
     |T| < 8 sqrt(N) E; transmitting (value 1) instances |y| < 4 sqrt(N) E
     and |T - 1| < 3 sqrt(N) E.  Every grid point must lie strictly inside
-    (0, 1/(16 sqrt(N))), and the grid must not be empty.
+    (0, 1/(16 sqrt(N))), and the grid must not be empty.  Moduli of T use
+    hypot, which matches scalar abs() bit for bit; np.abs on a complex
+    array need not.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -268,21 +260,17 @@ def scan_bounds(tree: TreeInput, grid, instance_id: int = 0) -> BoundReport:
     y = y_bottom(tree, grid)
     abs_y = y.magnitude
     T, _ = transmission(grid, y)
-    rows = []
-    for i, E in enumerate(grid):
-        if nand == 0:
-            bound_y = 1.0 / (4.0 * root_n * E)
-            bound_T = 8.0 * root_n * E
-            ok = (abs_y[i] > bound_y) and (abs(T[i]) < bound_T)
-        else:
-            bound_y = 4.0 * root_n * E
-            bound_T = 3.0 * root_n * E
-            ok = (abs_y[i] < bound_y) and (abs(T[i] - 1.0) < bound_T)
-        rows.append(
-            BoundRow(
-                N=N, instance_id=instance_id, E=float(E), nand=nand,
-                abs_y=float(abs_y[i]), abs_T=float(abs(T[i])),
-                bound_y=float(bound_y), bound_T=float(bound_T), passed=bool(ok),
-            )
-        )
-    return BoundReport(rows=rows)
+    abs_T = np.hypot(T.real, T.imag)
+    if nand == 0:
+        bound_y = 1.0 / (4.0 * root_n * grid)
+        bound_T = 8.0 * root_n * grid
+        ok = (abs_y > bound_y) & (abs_T < bound_T)
+    else:
+        bound_y = 4.0 * root_n * grid
+        bound_T = 3.0 * root_n * grid
+        ok = (abs_y < bound_y) & (np.hypot(T.real - 1.0, T.imag) < bound_T)
+    columns = (grid, abs_y, abs_T, bound_y, bound_T, ok)
+    return BoundReport(rows=[
+        dict(zip(CSV_COLUMNS, (N, instance_id, E, nand, *rest)))
+        for E, *rest in zip(*(c.tolist() for c in columns))
+    ])

@@ -15,6 +15,7 @@ from nandwalk import (
     runway_node,
     tree_node,
 )
+from nandwalk.lattice import DENSE_EIG_CAP
 from conftest import random_tree
 
 
@@ -240,7 +241,9 @@ class TestDenseEig:
         assert abs(w.sum()) < 1e-10
 
     def test_cap(self):
-        H = build_runway(30)
-        with pytest.raises(ValueError):
-            dense_eig(H, cap=10)
+        # dim 4,001 is refused before the matrix is densified
+        H = build_runway(2000)
+        assert H.dim == DENSE_EIG_CAP + 1
+        with pytest.raises(ValueError, match="cap"):
+            dense_eig(H)
 

@@ -221,6 +221,11 @@ class TestSubtreeDedup:
         with pytest.raises(DegenerateRecursionError):
             y_bottom(parse_input("0011"), [0.5, 0.0])
 
+    def test_rejects_two_dimensional_energies(self):
+        # the chunked fold slices the first axis, which must be energies
+        with pytest.raises(ValueError, match="1-d"):
+            y_bottom(parse_input("1111"), np.linspace(0.001, 0.5, 300).reshape(300, 1))
+
 
 class TestYAtZero:
     def test_pairs(self):
@@ -286,20 +291,61 @@ class TestTransmission:
         assert 0.0 < sp.theta < math.pi
 
 
+def reference_rows(tree, grid, instance_id):
+    """scan_bounds rows computed one energy at a time with scalar y_bottom,
+    transmission and abs(), and the four bound formulas."""
+    N = tree.n_leaves
+    root_n = math.sqrt(N)
+    nand = eval_nand(tree)
+    rows = []
+    for E in grid:
+        E = float(E)
+        y = y_bottom(tree, E)
+        T = complex(transmission(E, y)[0])
+        abs_y = abs(y.num) / abs(y.den)
+        if nand == 0:
+            bound_y, bound_T = 1.0 / (4.0 * root_n * E), 8.0 * root_n * E
+            passed = abs_y > bound_y and abs(T) < bound_T
+        else:
+            bound_y, bound_T = 4.0 * root_n * E, 3.0 * root_n * E
+            passed = abs_y < bound_y and abs(T - 1.0) < bound_T
+        rows.append({"N": N, "instance_id": instance_id, "E": E, "nand": nand,
+                     "abs_y": abs_y, "abs_T": abs(T), "bound_y": bound_y,
+                     "bound_T": bound_T, "pass": passed})
+    return rows
+
+
 class TestScanBounds:
     def test_transmitting_four_leaves_at_001(self):
         report = scan_bounds(parse_input("0011"), [0.01])
         row = report.rows[0]
-        assert row.nand == 1 and row.passed
-        assert row.bound_T == pytest.approx(3.0 * 2.0 * 0.01)
+        assert row["nand"] == 1 and row["pass"]
+        assert row["bound_T"] == pytest.approx(3.0 * 2.0 * 0.01)
         assert abs(complex(scattering_point(parse_input("0011"), 0.01).T) - 1.0) < 0.06
 
     def test_reflecting_four_leaves_at_001(self):
         report = scan_bounds(parse_input("0110"), [0.01])
         row = report.rows[0]
-        assert row.nand == 0 and row.passed
-        assert row.bound_T == pytest.approx(8.0 * 2.0 * 0.01)
-        assert row.abs_T < 0.16
+        assert row["nand"] == 0 and row["pass"]
+        assert row["bound_T"] == pytest.approx(8.0 * 2.0 * 0.01)
+        assert row["abs_T"] < 0.16
+
+    @pytest.mark.parametrize("root", [0, 1])
+    def test_rows_match_per_energy_reference_bitwise(self, root):
+        # exact float equality and Python types: the table is emitted as is
+        rng = np.random.default_rng(41 + root)
+        for depth in range(2, 11):
+            tree = hard_instance(depth, 7 * depth + root, root)
+            emax = 1.0 / (16.0 * math.sqrt(tree.n_leaves))
+            grid = np.concatenate([energy_grid(tree.n_leaves, points=24),
+                                   rng.uniform(0.0, emax, 24)])
+            rows = scan_bounds(tree, grid, instance_id=depth).rows
+            want = reference_rows(tree, grid, depth)
+            assert [r["nand"] for r in rows] == [root] * grid.size
+            assert rows == want
+            for row in rows:
+                assert [type(row[c]) for c in scattering.CSV_COLUMNS] == [
+                    int, int, float, int, float, float, float, float, bool]
 
     def test_two_leaf_pairs(self):
         assert scan_bounds(parse_input("00"), [0.01]).all_pass
@@ -316,6 +362,10 @@ class TestScanBounds:
         for grid in ([0.2], [0.0], [math.nan], [0.01, math.nan]):
             with pytest.raises(ValueError):
                 scan_bounds(t, grid)
+
+    def test_rejects_two_dimensional_grid(self):
+        with pytest.raises(ValueError, match="1-d"):
+            scan_bounds(parse_input("1111"), np.linspace(0.001, 0.03, 6).reshape(6, 1))
 
     def test_csv_round_trip(self, capsys):
         # the CSV table is written by the CLI's one emitter
