@@ -15,7 +15,7 @@ from nandwalk import (
     eval_nand,
     parse_input,
     scan_bounds,
-    scattering_point,
+    transmission,
     y_at_zero,
     y_bottom,
 )
@@ -39,9 +39,9 @@ for bits in ("0011", "0110"):
     print(f"\ninstance {bits} ({kind}):")
     print(f"{'E':>10} {'y(E)':>14} {'|T|':>8} {'|T-1|':>8}")
     for E in (1e-4, 1e-3, 1e-2, 0.03):
-        sp = scattering_point(tree, E)
-        y = float(sp.y.ratio)
-        print(f"{E:>10.0e} {y:>14.5g} {abs(sp.T):>8.5f} {abs(sp.T - 1):>8.5f}")
+        y = y_bottom(tree, E)
+        T = complex(transmission(E, y)[0])
+        print(f"{E:>10.0e} {float(y.ratio):>14.5g} {abs(T):>8.5f} {abs(T - 1):>8.5f}")
 
 print()
 print("=" * 66)

@@ -7,6 +7,9 @@ the right half of the runway.  The packet crosses when the tree value is 1
 and bounces when it is 0.
 """
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 
 from nandwalk import (
@@ -52,7 +55,7 @@ for bits in ("0011", "0110"):
     verdict = run_algorithm(tree, cfg)
     ok = "correct" if verdict.decision == value else "WRONG"
     print(f"decision (threshold 1/2): {verdict.decision}  [{ok}]")
-    print(f"verdict json: {verdict.to_json()}")
+    print(f"verdict json: {json.dumps(asdict(verdict), sort_keys=True)}")
     print()
 
 print("a coarse profile of where the packet sits (transmitting instance):")

@@ -32,7 +32,6 @@ from .scattering import (
     energy_grid,
     leaf_y,
     scan_bounds,
-    scattering_point,
     transmission,
     y_at_zero,
     y_bottom,
@@ -68,4 +67,4 @@ from .spectral import (
     tail_mass,
     window_weight,
 )
-from .harness import ExperimentConfig, cli_main, sweep
+from .harness import cli_main, sweep

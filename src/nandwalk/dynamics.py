@@ -22,7 +22,6 @@ lattice.dense_eig) is the test oracle.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
@@ -141,8 +140,6 @@ def evolve_cheb(H: HamiltonianGraph, psi: np.ndarray, t: float) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[0] != H.dim:
         raise ValueError("state dimension mismatch")
-    if t == 0:
-        return psi.copy()
     cls = H.index_map.sublattice()
     _check_forest(H, cls)
     on_a = cls == 0
@@ -205,9 +202,6 @@ class Verdict:
     p_right: float
     analytic_T0_sq: float
     config: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def run_algorithm(tree: TreeInput, config: RunConfig | None = None) -> Verdict:

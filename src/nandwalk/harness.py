@@ -58,20 +58,10 @@ SWEEP_COLUMNS = (
 DIAG_COLUMNS = ("L", "eps", "quantity", "value", "bound", "pass")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved parameters of one harness invocation; hashable for output
-    provenance."""
-
-    command: str
-    params: dict
-
-    def canonical_json(self) -> str:
-        return json.dumps({"command": self.command, **self.params}, sort_keys=True)
-
-    @property
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+def config_hash(command: str, params: dict) -> str:
+    """Provenance digest of one harness invocation's resolved parameters."""
+    canonical = json.dumps({"command": command, **params}, sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 PARAM_COLUMNS = frozenset({"gamma", "t_run", "T0_sq", "eps"})
@@ -89,7 +79,7 @@ def csv_cell(column: str, value) -> str:
     return str(value)
 
 
-def emit_table(config: ExperimentConfig, schema, rows, fmt, out, summary=None, footer=()):
+def emit_table(config_digest: str, schema, rows, fmt, out, summary=None, footer=()):
     """Write rows as CSV or JSON, each row keyed by the schema's columns.
 
     Both formats carry the config hash, package version, schema and
@@ -99,14 +89,14 @@ def emit_table(config: ExperimentConfig, schema, rows, fmt, out, summary=None, f
     rows = [{c: r[c] for c in schema} for r in rows]
     generated_at = datetime.now(timezone.utc).isoformat()
     if fmt == "json":
-        payload = {"config_hash": config.digest, "version": __version__,
+        payload = {"config_hash": config_digest, "version": __version__,
                    "schema": list(schema), "generated_at": generated_at, "rows": rows}
         if summary is not None:
             payload["summary"] = summary
         _emit(json.dumps(payload, sort_keys=True) + "\n", out)
         return
     lines = [
-        f"# config_hash: {config.digest}",
+        f"# config_hash: {config_digest}",
         f"# version: {__version__}",
         f"# schema: {','.join(schema)}",
         f"# generated_at: {generated_at}",
@@ -170,11 +160,10 @@ def _cmd_scatter(args) -> int:
         emax = float(args.emax)
         grid = np.geomspace(1e-8, emax, args.points)
     report = scan_bounds(tree, grid)
-    config = ExperimentConfig(
-        command="scatter",
-        params={"input": tree.to_text(), "emax": args.emax, "points": args.points},
+    digest = config_hash(
+        "scatter", {"input": tree.to_text(), "emax": args.emax, "points": args.points},
     )
-    emit_table(config, CSV_COLUMNS, report.rows, args.format, args.out)
+    emit_table(digest, CSV_COLUMNS, report.rows, args.format, args.out)
     if not report.all_pass:
         print(f"{len(report.violations)} bound violations", file=sys.stderr)
         return 1
@@ -190,11 +179,8 @@ def _cmd_run(args) -> int:
     tree = parse_input(args.input)
     config = RunConfig.for_tree(tree.n_leaves, gamma=args.gamma)
     verdict = run_algorithm(tree, config)
-    exp = ExperimentConfig(
-        command="run",
-        params={"input": tree.to_text(), "gamma": args.gamma},
-    )
-    payload = {**asdict(verdict), "config_hash": exp.digest, "version": __version__}
+    digest = config_hash("run", {"input": tree.to_text(), "gamma": args.gamma})
+    payload = {**asdict(verdict), "config_hash": digest, "version": __version__}
     _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -262,13 +248,10 @@ def sweep(n_leaves: int, gammas, instances: int, seed: int):
 
 
 def _cmd_sweep(args) -> int:
-    exp = ExperimentConfig(
-        command="sweep",
-        params={
-            "n": args.n, "gamma": list(args.gamma), "instances": args.instances,
-            "seed": args.seed,
-        },
-    )
+    digest = config_hash("sweep", {
+        "n": args.n, "gamma": list(args.gamma), "instances": args.instances,
+        "seed": args.seed,
+    })
     rows, summary = sweep(args.n, list(args.gamma), args.instances, args.seed)
     json_summary = {f"{g:g}": s for g, s in summary.by_gamma.items()}
     footer = [
@@ -279,7 +262,7 @@ def _cmd_sweep(args) -> int:
     if summary.fit_exponent is not None:
         json_summary["fit_exponent"] = summary.fit_exponent
         footer.append(f"# summary fit: mean_abs_err ~ gamma^{summary.fit_exponent:.3f}")
-    emit_table(exp, SWEEP_COLUMNS, rows, args.format, args.out,
+    emit_table(digest, SWEEP_COLUMNS, rows, args.format, args.out,
                summary=json_summary, footer=footer)
     return 0
 
@@ -293,6 +276,7 @@ def _cmd_embed_parity(args) -> int:
     k = args.k
     if args.bits is not None and len(args.bits) != k:
         raise ValueError(f"--bits has {len(args.bits)} bits; --k {k} needs {k}")
+    blocks = parity_blocks(k)  # rejects k that is not a power of two >= 2
     exhaustive = k <= 12
     assignments = (
         [[(m >> j) & 1 for j in range(k)] for m in range(2 ** k)]
@@ -311,7 +295,7 @@ def _cmd_embed_parity(args) -> int:
         "exhaustive": exhaustive,
         "failures": failures,
         "verified": failures == 0,
-        "blocks": [list(b) for b in parity_blocks(k)],
+        "blocks": [list(b) for b in blocks],
     }
     if args.bits is not None:
         x = [int(c) for c in args.bits]
@@ -327,9 +311,7 @@ def _cmd_embed_parity(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    exp = ExperimentConfig(
-        command="diagnose", params={"L": list(args.L), "eps": list(args.eps)},
-    )
+    digest = config_hash("diagnose", {"L": list(args.L), "eps": list(args.eps)})
     checks = []
     for L in args.L:
         total = parseval_total(L)
@@ -352,7 +334,7 @@ def _cmd_diagnose(args) -> int:
             checks.append((int(gamma * root), 1.0 / (16.0 * root), "cubic_dispersion",
                            small, 0.1, small < 0.1))
     rows = [dict(zip(DIAG_COLUMNS, c)) for c in checks]
-    emit_table(exp, DIAG_COLUMNS, rows, args.format, args.out)
+    emit_table(digest, DIAG_COLUMNS, rows, args.format, args.out)
     if not all(r["pass"] for r in rows):
         print("diagnostic inequality violated", file=sys.stderr)
         return 1

@@ -34,23 +34,22 @@ class TreeInput:
     """
 
     bits: tuple
-    depth: int
 
     def __post_init__(self):
         if not _is_power_of_two(len(self.bits)) or len(self.bits) < 2:
             raise NonPowerOfTwoError(
                 f"instance length {len(self.bits)} is not a power of two >= 2"
             )
-        if 2 ** self.depth != len(self.bits):
-            raise ValueError("depth inconsistent with number of leaves")
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("leaf bits must be 0 or 1")
 
     @classmethod
     def from_bits(cls, bits) -> "TreeInput":
-        bits = tuple(int(b) for b in bits)
-        n = max(len(bits).bit_length() - 1, 0)
-        return cls(bits=bits, depth=n)
+        return cls(bits=tuple(int(b) for b in bits))
+
+    @property
+    def depth(self) -> int:
+        return len(self.bits).bit_length() - 1
 
     @property
     def n_leaves(self) -> int:

@@ -187,25 +187,6 @@ def transmission(E, y: ProjectiveValue):
     return T, T - 1.0
 
 
-@dataclass(frozen=True)
-class ScatteringPoint:
-    """y, T and R at one energy, with theta = arccos(-E/2)."""
-
-    E: float
-    theta: float
-    y: ProjectiveValue
-    T: complex
-    R: complex
-
-
-def scattering_point(tree: TreeInput, E: float) -> ScatteringPoint:
-    y = y_bottom(tree, float(E))
-    T, R = transmission(float(E), y)
-    return ScatteringPoint(
-        E=float(E), theta=math.acos(-E / 2.0), y=y, T=complex(T), R=complex(R)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Bound scan.
 # ---------------------------------------------------------------------------
@@ -244,11 +225,13 @@ def scan_bounds(tree: TreeInput, grid, instance_id: int = 0) -> BoundReport:
     Reflecting (value 0) instances must satisfy |y| > 1/(4 sqrt(N) E) and
     |T| < 8 sqrt(N) E; transmitting (value 1) instances |y| < 4 sqrt(N) E
     and |T - 1| < 3 sqrt(N) E.  Every grid point must lie strictly inside
-    (0, 1/(16 sqrt(N))), and the grid must not be empty.  Moduli of T use
-    hypot, which matches scalar abs() bit for bit; np.abs on a complex
-    array need not.
+    (0, 1/(16 sqrt(N))), and the grid must be 1-d and not empty.  Moduli
+    of T use hypot, which matches scalar abs() bit for bit; np.abs on a
+    complex array need not.
     """
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"energy grid must be 1-d, got shape {grid.shape}")
     if grid.size == 0:
         raise ValueError("energy grid is empty")
     N = tree.n_leaves

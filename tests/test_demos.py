@@ -1,12 +1,14 @@
 """Every name a demo imports from nandwalk exists on the package.
 
 The demos are parsed, not run (running all six takes seconds), so a
-removed or renamed export fails here instead of only in the demo.  The
-scattering demo alone is also run in-process: it is the one that drives
-y_bottom, scattering_point and scan_bounds end to end.
+removed or renamed export fails here instead of only in the demo.  Two
+are also run in-process: the scattering demo drives y_bottom,
+transmission and scan_bounds end to end, and the walk demo prints each
+run's verdict as JSON.
 """
 
 import ast
+import json
 import runpy
 from pathlib import Path
 
@@ -37,3 +39,12 @@ def test_scattering_demo_runs(capsys):
     runpy.run_path(str(DEMO_DIR / "scattering_transmission.py"), run_name="__main__")
     out = capsys.readouterr().out
     assert out.count("-> 0 violations") == 2
+
+
+def test_walk_demo_runs(capsys):
+    runpy.run_path(str(DEMO_DIR / "walk_run.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert out.count("[correct]") == 2
+    verdicts = [json.loads(line.split("verdict json: ", 1)[1])
+                for line in out.splitlines() if line.startswith("verdict json: ")]
+    assert [v["config"]["bits"] for v in verdicts] == ["0011", "0110"]

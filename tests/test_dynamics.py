@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -96,6 +97,12 @@ class TestChebyshevPropagator:
         H = build_full(t, M=6)
         psi = initial_packet(4, 6, H.index_map)
         assert np.array_equal(evolve_cheb(H, psi, 0.0), psi)
+        # at x = 0 the coefficients are [1, 0, ...], so the recurrence itself
+        # returns a random complex state bit for bit
+        assert _chebyshev_coefficients(0.0).tolist() == [1.0] + [0.0] * 9
+        psi = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
+        out = evolve_cheb(H, psi, 0.0)
+        assert np.array_equal(out.view(np.uint64), psi.view(np.uint64))
 
     def test_agrees_with_exact(self, rng):
         for n_leaves, L, t_run in [(4, 8, 1.7), (16, 32, 32.0), (16, 32, 200.0)]:
@@ -143,8 +150,9 @@ class TestChebyshevPropagator:
         m[0, span] = m[span, 0] = -1.0
         looped = HamiltonianGraph(matrix=m.tocsr(), index_map=H.index_map)
         psi = initial_packet(4, 6, H.index_map)
-        with pytest.raises(ValueError):
-            evolve_cheb(looped, psi, 1.0)
+        for t in (1.0, 0.0):
+            with pytest.raises(ValueError):
+                evolve_cheb(looped, psi, t)
 
     def test_coefficients_match_wider_search(self):
         # reference: the first k > |x| with |J_k(x)| < CHEB_TOL / 100, found
@@ -230,7 +238,7 @@ class TestRunAlgorithm:
 
     def test_verdict_json(self):
         v = run_algorithm(parse_input("0110"), RunConfig.for_tree(4, gamma=4.0))
-        obj = json.loads(v.to_json())
+        obj = json.loads(json.dumps(asdict(v), sort_keys=True))
         assert obj["decision"] == v.decision
         assert obj["config"]["bits"] == "0110"
 

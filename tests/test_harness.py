@@ -6,7 +6,7 @@ import pytest
 
 import nandwalk.dynamics as dynamics
 from nandwalk import cli_main, eval_nand, parse_input, sweep
-from nandwalk.harness import ExperimentConfig, csv_cell
+from nandwalk.harness import config_hash, csv_cell
 
 
 def run_cli(capsys, *argv):
@@ -219,6 +219,13 @@ class TestEmbedParityCommand:
         assert out == ""
         assert "--bits" in err
 
+    @pytest.mark.parametrize("k", ["-4", "0", "3"])
+    def test_rejects_k_not_a_power_of_two(self, capsys, k):
+        code, out, err = run_cli(capsys, "embed-parity", "--k", k)
+        assert code == 2
+        assert out == ""
+        assert "power of two" in err
+
 
 class TestDiagnose:
     def test_default_checks_pass(self, capsys):
@@ -310,14 +317,12 @@ class TestUsage:
         assert out.count("(default: stdout)") == ("--out" in out)
 
 
-class TestExperimentConfig:
+class TestConfigHash:
     def test_hash_stable_and_canonical(self):
-        a = ExperimentConfig("run", {"x": 1, "y": [2, 3]})
-        b = ExperimentConfig("run", {"y": [2, 3], "x": 1})
-        assert a.digest == b.digest
-        assert len(a.digest) == 16
+        a = config_hash("run", {"x": 1, "y": [2, 3]})
+        b = config_hash("run", {"y": [2, 3], "x": 1})
+        assert a == b
+        assert len(a) == 16
 
     def test_hash_differs_with_params(self):
-        a = ExperimentConfig("run", {"x": 1})
-        b = ExperimentConfig("run", {"x": 2})
-        assert a.digest != b.digest
+        assert config_hash("run", {"x": 1}) != config_hash("run", {"x": 2})

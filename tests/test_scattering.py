@@ -17,7 +17,6 @@ from nandwalk import (
     leaf_y,
     parse_input,
     scan_bounds,
-    scattering_point,
     transmission,
     y_at_zero,
     y_bottom,
@@ -284,12 +283,6 @@ class TestTransmission:
         with pytest.raises(ValueError):
             transmission(2.0, ProjectiveValue(0.0, 1.0))
 
-    def test_scattering_point_invariants(self):
-        sp = scattering_point(parse_input("11"), 0.5)
-        assert sp.E == pytest.approx(-2.0 * math.cos(sp.theta), abs=1e-14)
-        assert abs(1.0 + sp.R - sp.T) < 1e-12
-        assert 0.0 < sp.theta < math.pi
-
 
 def reference_rows(tree, grid, instance_id):
     """scan_bounds rows computed one energy at a time with scalar y_bottom,
@@ -321,7 +314,8 @@ class TestScanBounds:
         row = report.rows[0]
         assert row["nand"] == 1 and row["pass"]
         assert row["bound_T"] == pytest.approx(3.0 * 2.0 * 0.01)
-        assert abs(complex(scattering_point(parse_input("0011"), 0.01).T) - 1.0) < 0.06
+        T, _ = transmission(0.01, y_bottom(parse_input("0011"), 0.01))
+        assert abs(complex(T) - 1.0) < 0.06
 
     def test_reflecting_four_leaves_at_001(self):
         report = scan_bounds(parse_input("0110"), [0.01])
@@ -364,8 +358,10 @@ class TestScanBounds:
                 scan_bounds(t, grid)
 
     def test_rejects_two_dimensional_grid(self):
-        with pytest.raises(ValueError, match="1-d"):
-            scan_bounds(parse_input("1111"), np.linspace(0.001, 0.03, 6).reshape(6, 1))
+        # a scalar is not a grid either
+        for grid in (np.linspace(0.001, 0.03, 6).reshape(6, 1), 0.01):
+            with pytest.raises(ValueError, match="1-d"):
+                scan_bounds(parse_input("1111"), grid)
 
     def test_csv_round_trip(self, capsys):
         # the CSV table is written by the CLI's one emitter
