@@ -31,6 +31,7 @@ from .scattering import (
     combine_y,
     energy_grid,
     leaf_y,
+    predict_p_right,
     scan_bounds,
     transmission,
     y_at_zero,
@@ -56,15 +57,11 @@ from .dynamics import (
     initial_packet,
     prob_right,
     run_algorithm,
-    translation_residual,
 )
 from .spectral import (
     band_mass,
-    dispersion_smallness,
-    error_budget,
     packet_spectrum,
     parseval_total,
     tail_mass,
-    window_weight,
 )
 from .harness import cli_main, sweep

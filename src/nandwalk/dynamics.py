@@ -226,29 +226,3 @@ def run_algorithm(tree: TreeInput, config: RunConfig | None = None) -> Verdict:
     echo = {"bits": tree.to_text(), "N": tree.n_leaves, **asdict(config),
             "tolerance": CHEB_TOL, "threshold": DECISION_THRESHOLD, "dim": H.dim}
     return Verdict(decision=decision, p_right=p, analytic_T0_sq=t0_sq, config=echo)
-
-
-def translation_residual(psi_t: np.ndarray, psi0: np.ndarray, T0: complex,
-                         t: float, index_map: NodeIndexMap) -> float:
-    """L2 mismatch, over the right runway, between the evolved state and
-    T0 times the freely translated packet.
-
-    The reference is the initial packet translated by 2t sites under free
-    right-moving dispersionless propagation: each source amplitude at site
-    s contributes i^{r-s} sinc((r-s) - 2t) at site r, the band-limited
-    interpolation of the shifted packet, which also carries the
-    quarter-period phase accumulated per site.  For integer 2t this reduces
-    to an exact translation times i^{2t}.
-    """
-    M = index_map.M
-    if 2.0 * t > 2 * M:
-        raise ValueError("displacement 2t exceeds the runway")
-    src_sites = np.arange(-M, M + 1)
-    src = psi0[index_map.runway_indices(src_sites)]
-    nz = np.nonzero(np.abs(src) > 0.0)[0]
-    rs = np.arange(1, M + 1)
-    delta = rs[:, None] - src_sites[nz][None, :]
-    kernel = (1j) ** np.mod(delta, 4) * np.sinc(delta - 2.0 * t)
-    ref = T0 * (kernel @ src[nz])
-    measured = psi_t[index_map.runway_indices(rs)]
-    return float(np.linalg.norm(measured - ref))

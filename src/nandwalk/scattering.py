@@ -32,6 +32,11 @@ For 0 < E < 1/(16 sqrt(N)) the root value is still readable from y(E):
     value 1 (transmit):  |y| < 4 sqrt(N) E,       |T - 1| < 3 sqrt(N) E
 
 scan_bounds checks these inequalities pointwise over an energy grid.
+
+predict_p_right integrates the packet over the scattering states of the
+infinite runway and returns the right-side probability at the run time,
+its t -> infinity limit, and the packet weight on bound states outside the
+band, which the integral leaves out.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nand_core import TreeInput, eval_nand
+from .spectral import packet_spectrum
 
 
 class DegenerateRecursionError(ArithmeticError):
@@ -185,6 +191,48 @@ def transmission(E, y: ProjectiveValue):
         raise ArithmeticError("transmission denominator vanished for real y")
     T = 2j * sin_theta * q / denom
     return T, T - 1.0
+
+
+# Midpoint momenta per half-runway site in predict_p_right.  Doubling it
+# moved p(t) by at most 1.1e-4 (N = 16, gamma = 4) on random trees.
+_GRID_PER_SITE = 64
+
+
+def predict_p_right(tree: TreeInput, config):
+    """Scattering prediction (p_t, p_inf, w) of a run's right-side probability.
+
+    With E = -2 cos(theta), T and R from transmission, and the packet's
+    coefficient c(theta) = A(theta - pi/2) on the plane wave e^{i theta r},
+    the packet's overlaps with the left- and right-incoming scattering
+    states are alpha = c(theta) + conj(R) c(-theta) and
+    beta = conj(T) c(-theta), and on sites r >= 1
+
+        psi(r, t) = int_0^pi dtheta/2pi e^{-iEt} (a e^{i theta r} + beta e^{-i theta r}),
+        a = alpha T + beta R.
+
+    p_t = sum over r = 1..M of |psi(r, t_run)|^2, p_inf = int |a|^2 dtheta/2pi,
+    and w = 1 - int (|alpha|^2 + |beta|^2) dtheta/2pi is the weight on bound
+    states, so |p_measured - p_t| <= 2 sqrt(p_t w) + w up to quadrature
+    error.  config supplies L, M and t_run.  The integrals use G = 64 M
+    midpoint momenta, and the sum over r is one length-2G FFT.
+    """
+    G = _GRID_PER_SITE * config.M
+    theta = (np.arange(G) + 0.5) * (math.pi / G)
+    E = -2.0 * np.cos(theta)
+    T, R = transmission(E, y_bottom(tree, E))
+    c_in, _ = packet_spectrum(config.L, theta - math.pi / 2.0)
+    c_out, _ = packet_spectrum(config.L, -theta - math.pi / 2.0)
+    alpha = c_in + R.conj() * c_out
+    beta = T.conj() * c_out
+    a = alpha * T + beta * R
+    phase = np.exp(-1j * E * config.t_run)
+    # momenta -theta (ascending) then theta: the 2G-point midpoint grid on
+    # (-pi, pi), on which psi(r) is the inverse FFT up to a unit phase
+    psi = np.fft.ifft(np.concatenate(((phase * beta)[::-1], phase * a)))
+    p_t = float(np.sum(np.abs(psi[1:config.M + 1]) ** 2))
+    p_inf = float(np.sum(np.abs(a) ** 2)) / (2 * G)
+    w = 1.0 - float(np.sum(np.abs(alpha) ** 2 + np.abs(beta) ** 2)) / (2 * G)
+    return p_t, p_inf, w
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ coefficient B(phi):
 
 |A|^2 integrates to 1 over the band (Parseval), its tail beyond |phi| = eps
 is below pi/(L eps), and |B|^2 < 1/(L cos^2(eps/2)) inside the window.
-These closed forms plus the dense eigendecomposition of the finite graph
-quantify how much of the packet actually lives in the energy window where
-the transmission amplitude is pinned near its band-center value.
+scattering.predict_p_right integrates A against the tree's transmission
+amplitude to predict the measured right-side probability.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 
 def packet_spectrum(L: int, phi):
-    """Closed-form A(phi), B(phi) for phi in [-pi, pi].
+    """Closed-form A(phi), B(phi); both are 2 pi-periodic in phi.
 
     The removable singularities (phi = 0 for A, |phi| = pi for B) are
     filled with their limits, A(0) = sqrt(L) and B(+-pi) = sqrt(L).
@@ -89,35 +88,3 @@ def tail_mass(L: int, eps: float) -> float:
             f"tail mass {tail} violates its analytic bound {bound} (L={L}, eps={eps})"
         )
     return tail
-
-
-def window_weight(eig, psi0: np.ndarray, eps: float) -> float:
-    """Packet weight on eigenstates with |energy| < 2 sin(eps).
-
-    `eig` is the (eigenvalues, eigenvectors) pair of the full finite graph.
-    eps >= pi/2 means the whole propagating band |E| < 2.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    w, V = eig
-    threshold = 2.0 * math.sin(min(eps, math.pi / 2.0))
-    overlaps = V.conj().T @ psi0
-    mask = np.abs(w) < threshold
-    return float(np.sum(np.abs(overlaps[mask]) ** 2))
-
-
-def error_budget(L: float, eps: float, D: float) -> float:
-    """Composite accuracy scale max(1/sqrt(L eps), D sqrt(eps/L), (eps/L)^(1/4)).
-
-    With eps = 1/(16 sqrt(N)), D = 8 sqrt(N) and L = gamma sqrt(N) all
-    three terms are Theta(1/sqrt(gamma)), independent of N.
-    """
-    if L <= 0 or eps <= 0 or D <= 0:
-        raise ValueError("all arguments must be positive")
-    return max(1.0 / math.sqrt(L * eps), D * math.sqrt(eps / L), (eps / L) ** 0.25)
-
-
-def dispersion_smallness(L: float, eps: float) -> float:
-    """L eps^3: the product that must stay well below 1 for the packet to
-    translate without cubic-dispersion distortion over the run time."""
-    return L * eps ** 3

@@ -1,10 +1,11 @@
 """Every name a demo imports from nandwalk exists on the package.
 
 The demos are parsed, not run (running all six takes seconds), so a
-removed or renamed export fails here instead of only in the demo.  Two
+removed or renamed export fails here instead of only in the demo.  Four
 are also run in-process: the scattering demo drives y_bottom,
-transmission and scan_bounds end to end, and the walk demo prints each
-run's verdict as JSON.
+transmission and scan_bounds end to end, the walk demo prints each run's
+verdict as JSON, and the packet-spectrum and gamma-convergence demos print
+measured p_right against the scattering prediction.
 """
 
 import ast
@@ -48,3 +49,11 @@ def test_walk_demo_runs(capsys):
     verdicts = [json.loads(line.split("verdict json: ", 1)[1])
                 for line in out.splitlines() if line.startswith("verdict json: ")]
     assert [v["config"]["bits"] for v in verdicts] == ["0011", "0110"]
+
+
+@pytest.mark.parametrize("name, rows", [("packet_spectrum.py", 4), ("gamma_convergence.py", 10)])
+def test_prediction_demo_rows_within_bound(capsys, name, rows):
+    runpy.run_path(str(DEMO_DIR / name), run_name="__main__")
+    out = capsys.readouterr().out
+    assert out.count("[within bound]") == rows
+    assert "OUTSIDE" not in out

@@ -21,7 +21,6 @@ from nandwalk import (
     parse_input,
     prob_right,
     run_algorithm,
-    translation_residual,
 )
 from nandwalk.dynamics import CHEB_TOL, SPECTRAL_RADIUS_BOUND, _chebyshev_coefficients
 from conftest import random_tree
@@ -278,51 +277,3 @@ class TestRunAlgorithm:
         cheb = run_algorithm(t, cfg)
         assert abs(exact - cheb.p_right) < 1e-9
         assert cheb.decision == int(exact >= 0.5)
-
-
-class TestTranslationResidual:
-    def test_free_runway(self):
-        # no tree: the packet just translates by 2t = L
-        L, M = 64, 192
-        H = build_runway(M)
-        psi0 = initial_packet(L, M, H.index_map)
-        psi_t = evolve_exact(dense_eig(H), psi0, L / 2.0)
-        assert translation_residual(psi_t, psi0, 1.0, L / 2.0, H.index_map) <= 0.2
-
-    def test_free_runway_non_integer_shift(self):
-        L, M = 64, 192
-        H = build_runway(M)
-        psi0 = initial_packet(L, M, H.index_map)
-        t = L / 2.0 + 0.25
-        psi_t = evolve_exact(dense_eig(H), psi0, t)
-        assert translation_residual(psi_t, psi0, 1.0, t, H.index_map) <= 0.25
-
-    def test_transmitting_residual_decays(self):
-        tree = parse_input("1" * 16)
-        res = []
-        gammas = (8.0, 16.0, 32.0)
-        for gamma in gammas:
-            cfg = RunConfig.for_tree(16, gamma=gamma)
-            H = build_full(tree, cfg.M)
-            psi0 = initial_packet(cfg.L, cfg.M, H.index_map)
-            psi_t = evolve_exact(dense_eig(H), psi0, cfg.t_run)
-            res.append(translation_residual(psi_t, psi0, 1.0, cfg.t_run, H.index_map))
-        assert res[0] > res[1] > res[2]
-        slope = np.polyfit(np.log(gammas), np.log(res), 1)[0]
-        assert slope <= -0.25  # decays at least as fast as the quartic-root term
-
-    def test_zero_transmission_reduces_to_right_mass(self):
-        tree = parse_input("0000")
-        assert eval_nand(tree) == 0
-        cfg = RunConfig.for_tree(4, gamma=16.0)
-        H = build_full(tree, cfg.M)
-        psi0 = initial_packet(cfg.L, cfg.M, H.index_map)
-        psi_t = evolve_exact(dense_eig(H), psi0, cfg.t_run)
-        res = translation_residual(psi_t, psi0, 0.0, cfg.t_run, H.index_map)
-        assert res == pytest.approx(math.sqrt(prob_right(psi_t, H.index_map)), abs=1e-12)
-
-    def test_rejects_shift_beyond_runway(self):
-        H = build_runway(8)
-        psi0 = initial_packet(4, 8, H.index_map)
-        with pytest.raises(ValueError):
-            translation_residual(psi0, psi0, 1.0, 10.0, H.index_map)

@@ -30,6 +30,12 @@ class TestEval:
         assert obj["randomized_value"] == 0
         assert 1 <= obj["queries"] <= 4
 
+    def test_seed_without_json_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--input", "0110", "--seed", "3")
+        assert code == 2
+        assert out == ""
+        assert "--format json" in err
+
     def test_bad_input_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--input", "011")
         assert code == 2
@@ -145,6 +151,15 @@ class TestSweep:
         assert code == 2
         assert "empty" in err
 
+    def test_repeated_gamma_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--n", "4", "--gamma", "16", "16",
+                                 "--instances", "1")
+        assert code == 2
+        assert out == ""
+        assert "repeat" in err
+        with pytest.raises(ValueError, match="repeat"):
+            sweep(4, [16.0, 4.0, 16], instances=1, seed=0)
+
     def test_non_finite_gamma_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--n", "4", "--gamma", "inf",
                                  "--instances", "1")
@@ -235,7 +250,7 @@ class TestDiagnose:
         assert lines[0] == "L,eps,quantity,value,bound,pass"
         assert all(ln.endswith(",true") for ln in lines[1:])
         quantities = {ln.split(",")[2] for ln in lines[1:]}
-        assert quantities == {"band_total", "tail_mass", "alt_peak", "cubic_dispersion"}
+        assert quantities == {"band_total", "tail_mass", "alt_peak"}
 
     @pytest.mark.parametrize("L", ["0", "-16"])
     def test_nonpositive_length_is_usage_error(self, capsys, L):

@@ -3,19 +3,27 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from nandwalk import (
     DegenerateRecursionError,
     ProjectiveValue,
+    RunConfig,
     SymbolicY,
     TreeInput,
+    build_full,
     cli_main,
     combine_y,
+    dense_eig,
     energy_grid,
     eval_nand,
     hard_instance,
+    initial_packet,
     leaf_y,
     parse_input,
+    predict_p_right,
+    run_algorithm,
     scan_bounds,
     transmission,
     y_at_zero,
@@ -96,6 +104,21 @@ class TestYBottom:
                 direct = y_bottom(t, E)
                 assert type(direct.num) is float and type(direct.den) is float
                 assert float(direct.ratio) == pytest.approx(float(ys[0].ratio), rel=1e-12)
+
+    @pytest.mark.parametrize("n_leaves", [4, 16, 64, 256, 1024])
+    def test_matches_tree_green_function(self, n_leaves):
+        # independent oracle sharing no code with scattering:
+        # y(E) = -[(E - H_tree)^-1]_root,root on the walk graph's tree and
+        # extras block, whose first row is the root
+        rng = np.random.default_rng(n_leaves)
+        tree = random_tree(rng, n_leaves)
+        H = build_full(tree, 1)
+        block = H.matrix[H.index_map.tree_off:, H.index_map.tree_off:].tocsc()
+        unit = np.zeros(block.shape[0])
+        unit[0] = 1.0
+        for E in rng.uniform(-2.0, 2.0, 5):
+            green = spsolve(E * sp.identity(block.shape[0], format="csc") - block, unit)
+            assert float(y_bottom(tree, E).ratio) == pytest.approx(-green[0], rel=1e-11)
 
     def test_antisymmetry(self, rng):
         # y(-E) = -y(E) as ratios, 100 random (instance, energy) pairs
@@ -282,6 +305,60 @@ class TestTransmission:
     def test_rejects_band_edge(self):
         with pytest.raises(ValueError):
             transmission(2.0, ProjectiveValue(0.0, 1.0))
+
+
+class TestPredictPRight:
+    @pytest.mark.parametrize("gamma", [4.0, 16.0])
+    @pytest.mark.parametrize("n_leaves", [4, 16, 64, 256])
+    def test_matches_simulation_within_computed_bound(self, n_leaves, gamma):
+        # the continuum integral misses only the bound-state weight w, so
+        # |sqrt(p_sim) - sqrt(p_pred)| <= sqrt(w)
+        tree = random_tree(np.random.default_rng(n_leaves), n_leaves)
+        config = RunConfig.for_tree(n_leaves, gamma)
+        p_pred, p_inf, w = predict_p_right(tree, config)
+        assert 0.0 <= p_pred <= 1.0 and 0.0 <= p_inf <= 1.0 and 0.0 < w < 1.0
+        p_sim = run_algorithm(tree, config).p_right
+        assert abs(p_sim - p_pred) <= 2.0 * math.sqrt(p_pred * w) + w
+
+    def test_band_weight_matches_dense_eig(self):
+        # 1 - w is the packet weight on the finite graph's eigenstates with |E| < 2
+        tree = random_tree(np.random.default_rng(16), 16)
+        config = RunConfig.for_tree(16, 16.0)
+        H = build_full(tree, config.M)
+        energies, V = dense_eig(H)
+        overlaps = V.T @ initial_packet(config.L, config.M, H.index_map)
+        band = float(np.sum(np.abs(overlaps[np.abs(energies) < 2.0]) ** 2))
+        assert 1.0 - predict_p_right(tree, config)[2] == pytest.approx(band, abs=1e-6)
+
+    def test_bound_weight_falls_with_gamma(self):
+        tree = parse_input("0110")
+        ws = [predict_p_right(tree, RunConfig.for_tree(4, g))[2] for g in (8.0, 16.0, 32.0)]
+        assert ws[0] > ws[1] > ws[2]
+
+    @pytest.mark.parametrize("gamma", [4.0, 16.0])
+    @pytest.mark.parametrize("n_leaves", [4, 16, 64])
+    def test_doubling_grid_moves_prediction_little(self, monkeypatch, n_leaves, gamma):
+        tree = random_tree(np.random.default_rng(n_leaves), n_leaves)
+        config = RunConfig.for_tree(n_leaves, gamma)
+        coarse = predict_p_right(tree, config)[0]
+        monkeypatch.setattr(scattering, "_GRID_PER_SITE", 2 * scattering._GRID_PER_SITE)
+        assert abs(predict_p_right(tree, config)[0] - coarse) < 1e-3
+
+    @pytest.mark.parametrize("root", [0, 1])
+    def test_hard_trees_frozen(self, root):
+        # run_algorithm gives 0.20785 (root 0) and 0.76188 (root 1) here
+        tree = hard_instance(4, 0, root)
+        p_pred = predict_p_right(tree, RunConfig.for_tree(16, 16.0))[0]
+        assert p_pred == pytest.approx((0.20727, 0.75718)[root], abs=1e-5)
+        assert int(p_pred >= 0.5) == root
+
+    def test_approaches_long_time_limit(self):
+        tree = hard_instance(4, 0, 1)
+        L = RunConfig.for_tree(16, 16.0).L
+        runs = [predict_p_right(tree, RunConfig(gamma=16.0, L=L, M=6 * L, t_run=t))
+                for t in (L / 2.0, L, 2.0 * L)]
+        gaps = [abs(p_t - p_inf) for p_t, p_inf, _ in runs]
+        assert gaps[0] > gaps[1] > gaps[2]
 
 
 def reference_rows(tree, grid, instance_id):

@@ -5,19 +5,12 @@ import numpy as np
 import pytest
 
 from nandwalk import (
-    RunConfig,
-    build_full,
     build_runway,
     band_mass,
-    dense_eig,
-    dispersion_smallness,
-    error_budget,
     initial_packet,
     packet_spectrum,
-    parse_input,
     parseval_total,
     tail_mass,
-    window_weight,
 )
 
 
@@ -124,81 +117,3 @@ class TestTailMass:
             tail_mass(64, 0.0)
         with pytest.raises(ValueError):
             tail_mass(64, 4.0)
-
-
-class TestWindowWeight:
-    def test_whole_band_on_free_runway(self):
-        # no tree: every eigenstate is a propagating wave, weight = 1
-        L, M = 32, 96
-        H = build_runway(M)
-        psi0 = initial_packet(L, M, H.index_map)
-        w = window_weight(dense_eig(H), psi0, math.pi)
-        assert w >= 1.0 - 1e-9
-
-    def test_narrow_window_weight_frozen(self):
-        # N = 16, gamma = 16, eps = 1/(16 sqrt N): the dense-eig oracle
-        # gives ~0.244, well short of 1 because L*eps is only gamma/16
-        tree = parse_input("1" * 16)
-        cfg = RunConfig.for_tree(16, gamma=16.0)
-        H = build_full(tree, cfg.M)
-        psi0 = initial_packet(cfg.L, cfg.M, H.index_map)
-        w = window_weight(dense_eig(H), psi0, 1.0 / 64.0)
-        assert w == pytest.approx(0.2435, abs=0.02)
-
-    def test_monotone_in_gamma(self):
-        tree = parse_input("0110")
-        eps = 1.0 / (16.0 * 2.0)
-        weights = []
-        for gamma in (8.0, 16.0, 32.0):
-            cfg = RunConfig.for_tree(4, gamma=gamma)
-            H = build_full(tree, cfg.M)
-            psi0 = initial_packet(cfg.L, cfg.M, H.index_map)
-            weights.append(window_weight(dense_eig(H), psi0, eps))
-        assert weights[1] > weights[0] - 0.02
-        assert weights[2] > weights[1] - 0.02
-
-    def test_rejects_bad_eps(self):
-        H = build_runway(8)
-        psi0 = initial_packet(4, 8, H.index_map)
-        with pytest.raises(ValueError):
-            window_weight(dense_eig(H), psi0, 0.0)
-
-
-class TestErrorBudget:
-    def test_standard_substitution(self):
-        # eps = 1/(16 sqrt N), D = 8 sqrt N, L = gamma sqrt N
-        for n_leaves in (4, 16, 256, 4096):
-            root = math.sqrt(n_leaves)
-            budget = error_budget(16.0 * root, 1.0 / (16.0 * root), 8.0 * root)
-            assert budget == pytest.approx(1.0, rel=1e-12)  # 4 / sqrt(gamma) at gamma 16
-
-    def test_dominant_term_scaling(self):
-        # the window-tail term is 4/sqrt(gamma) exactly under the substitution
-        for gamma in (4.0, 16.0, 64.0, 256.0):
-            root = 4.0
-            L = gamma * root
-            eps = 1.0 / (16.0 * root)
-            assert 1.0 / math.sqrt(L * eps) == pytest.approx(4.0 / math.sqrt(gamma), rel=1e-12)
-            assert error_budget(L, eps, 8.0 * root) == pytest.approx(4.0 / math.sqrt(gamma), rel=1e-12)
-
-    def test_independent_of_tree_size(self):
-        vals = set()
-        for n_leaves in (4, 64, 1024):
-            root = math.sqrt(n_leaves)
-            vals.add(round(error_budget(32.0 * root, 1.0 / (16.0 * root), 8.0 * root), 12))
-        assert len(vals) == 1
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            error_budget(0.0, 0.1, 1.0)
-
-
-class TestDispersionSmallness:
-    def test_standard_configurations_are_small(self):
-        # L eps^3 = gamma / (4096 N) under the standard substitution
-        for n_leaves in (4, 16, 1024):
-            root = math.sqrt(n_leaves)
-            for gamma in (1.0, 16.0, 256.0):
-                val = dispersion_smallness(gamma * root, 1.0 / (16.0 * root))
-                assert val == pytest.approx(gamma / (4096.0 * n_leaves), rel=1e-12)
-                assert val < 0.1
