@@ -45,9 +45,6 @@ from .lattice import (
     build_oracle,
     build_runway,
     dense_eig,
-    extra_node,
-    runway_node,
-    tree_node,
 )
 from .dynamics import (
     RunConfig,

@@ -103,11 +103,17 @@ def emit_table(config_digest: str, schema, rows, fmt, out, summary=None, footer=
 
 
 def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Write text to out_path, or to stdout when it is unset; a path that
+    cannot be opened is a usage error."""
+    if not out_path:
         sys.stdout.write(text)
+        return
+    try:
+        fh = open(out_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out_path}: {exc.strerror}") from exc
+    with fh:
+        fh.write(text)
 
 
 def _worker_count() -> int:
@@ -297,9 +303,9 @@ def _cmd_embed_parity(args) -> int:
         "blocks": [list(b) for b in blocks],
     }
     if args.bits is not None:
-        x = [int(c) for c in args.bits]
-        payload["instance"] = embed_parity(x).to_text()
-        payload["instance_value"] = eval_nand(embed_parity(x))
+        instance = embed_parity([int(c) for c in args.bits])
+        payload["instance"] = instance.to_text()
+        payload["instance_value"] = eval_nand(instance)
     _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
     return 0 if failures == 0 else 1
 

@@ -3,7 +3,8 @@
 The walk graph consists of a runway (a path on sites r = -M..M), a perfect
 binary tree of depth n whose root hangs off runway site 0, and one pendant
 "extra" node per leaf, attached exactly when that leaf bit is 1.  Every
-graph lives on one node layout (NodeIndexMap).  The driver H_D is the
+graph lives on one node layout (NodeIndexMap), addressed by closed-form
+index ranges: nodes carry no labels.  The driver H_D is the
 instance-independent part (runway + tree), the oracle H_O the pendant
 edges, and the full Hamiltonian is H = H_D + H_O, entrywise.  All entries
 are exactly -1 off the diagonal and 0 on it.
@@ -19,28 +20,13 @@ import scipy.sparse as sp
 
 from .nand_core import TreeInput
 
-RUNWAY = "r"
-TREE = "t"
-EXTRA = "x"
-
-
-def runway_node(r: int):
-    return (RUNWAY, r)
-
-
-def tree_node(level: int, pos: int):
-    return (TREE, level, pos)
-
-
-def extra_node(leaf: int):
-    return (EXTRA, leaf)
-
 
 class NodeIndexMap:
-    """Bijection between graph nodes and flat vector indices.
+    """Offsets and index ranges of the three blocks of the node layout.
 
-    Order: runway sites -M..M, then the tree in heap order (node (l, p)
-    at 2^l - 1 + p, root first, leaves last), then one extra per leaf.
+    Order: runway sites -M..M (site r at r + M), then the tree in heap
+    order (level l, position p at tree_off + 2^l - 1 + p, root first,
+    leaf i at extras_off - n_leaves + i), then extra i at extras_off + i.
     depth=None leaves the tree and extras blocks empty: the bare runway.
     """
 
@@ -53,35 +39,6 @@ class NodeIndexMap:
         self.tree_off = 2 * M + 1
         self.extras_off = self.tree_off + max(2 * self.n_leaves - 1, 0)
         self.dim = self.extras_off + self.n_leaves
-
-    # -- node -> flat ----------------------------------------------------
-
-    def index(self, node) -> int:
-        kind = node[0]
-        if kind == RUNWAY and abs(node[1]) <= self.M:
-            return node[1] + self.M
-        if kind == TREE and self.depth is not None:
-            _, level, pos = node
-            if 0 <= level <= self.depth and 0 <= pos < 2 ** level:
-                return self.tree_off + 2 ** level - 1 + pos
-        if kind == EXTRA and 0 <= node[1] < self.n_leaves:
-            return self.extras_off + node[1]
-        raise KeyError(node)
-
-    # -- flat -> node ----------------------------------------------------
-
-    def node(self, i: int):
-        if not 0 <= i < self.dim:
-            raise IndexError(i)
-        if i < self.tree_off:
-            return runway_node(i - self.M)
-        if i < self.extras_off:
-            heap = i - self.tree_off + 1
-            level = heap.bit_length() - 1
-            return tree_node(level, heap - 2 ** level)
-        return extra_node(i - self.extras_off)
-
-    # -- convenience -----------------------------------------------------
 
     def runway_indices(self, rs) -> np.ndarray:
         rs = np.asarray(rs, dtype=int)
@@ -122,15 +79,6 @@ class HamiltonianGraph:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def edges(self) -> set:
-        """Undirected edges as frozensets of node labels."""
-        coo = self.matrix.tocoo()
-        out = set()
-        for u, v in zip(coo.row, coo.col):
-            if u < v:
-                out.add(frozenset((self.index_map.node(int(u)), self.index_map.node(int(v)))))
-        return out
 
 
 def _graph_from_edges(imap: NodeIndexMap, u, v) -> HamiltonianGraph:

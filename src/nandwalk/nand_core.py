@@ -102,18 +102,18 @@ def randomized_eval(tree: TreeInput, seed: int) -> EvalTrace:
     depth = tree.depth
     queries = 0
 
-    def node(level: int, pos: int) -> int:
+    def visit(level: int, pos: int) -> int:
         nonlocal queries
         if level == depth:
             queries += 1
             return bits[pos]
         first = int(rng.integers(2))
-        a = node(level + 1, 2 * pos + first)
+        a = visit(level + 1, 2 * pos + first)
         if a == 0:
             return 1
-        return 1 - node(level + 1, 2 * pos + 1 - first)
+        return 1 - visit(level + 1, 2 * pos + 1 - first)
 
-    value = node(0, 0)
+    value = visit(0, 0)
     return EvalTrace(value=value, queries=queries)
 
 

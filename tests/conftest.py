@@ -1,3 +1,9 @@
+import os
+
+# One BLAS thread: the suite's matrices are small, and starting a pool of
+# OpenBLAS threads costs more than it saves.  Set before numpy is imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

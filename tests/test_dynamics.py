@@ -4,6 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import jv
 
 import nandwalk.dynamics as dynamics
@@ -62,6 +63,11 @@ class TestInitialPacket:
         H = build_full(parse_input("01"), M=4)
         with pytest.raises(ValueError):
             initial_packet(5, 4, H.index_map)
+
+    def test_rejects_empty_packet(self):
+        H = build_full(parse_input("01"), M=4)
+        with pytest.raises(ValueError, match="positive"):
+            initial_packet(0, 4, H.index_map)
 
 
 class TestExactPropagator:
@@ -152,6 +158,24 @@ class TestChebyshevPropagator:
         for t in (1.0, 0.0):
             with pytest.raises(ValueError):
                 evolve_cheb(looped, psi, t)
+
+    def test_rejects_state_of_wrong_length(self):
+        H = build_runway(6)
+        with pytest.raises(ValueError, match="dimension"):
+            evolve_cheb(H, np.zeros(H.dim + 1, dtype=complex), 1.0)
+
+    def test_rejects_degree_four_or_heavy_edge(self):
+        # both graphs are two-coloured forests, so only the degree and
+        # weight premise of the 2 sqrt 2 bound fails
+        H = build_runway(4)
+        star = np.zeros((H.dim, H.dim))
+        star[0, [1, 3, 5, 7]] = star[[1, 3, 5, 7], 0] = -1.0  # site -4 to -3, -1, 1, 3
+        heavy = 2.0 * H.matrix
+        psi = initial_packet(2, 4, H.index_map)
+        for m in (sp.csr_matrix(star), heavy):
+            graph = HamiltonianGraph(matrix=m, index_map=H.index_map)
+            with pytest.raises(ValueError, match="degree"):
+                evolve_cheb(graph, psi, 1.0)
 
     def test_coefficients_match_wider_search(self):
         # reference: the first k > |x| with |J_k(x)| < CHEB_TOL / 100, found

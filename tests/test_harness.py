@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import nandwalk.dynamics as dynamics
-from nandwalk import cli_main, eval_nand, parse_input, sweep
+import nandwalk.harness as harness
+from nandwalk import cli_main, eval_nand, parse_input, scan_bounds, sweep
 from nandwalk.harness import config_hash, csv_cell
 
 
@@ -78,6 +79,18 @@ class TestScatter:
         assert code == 2
         assert out == ""
         assert "grid energies" in err
+
+    def test_bound_violation_exits_one(self, capsys, monkeypatch):
+        def failing_scan(tree, grid):
+            report = scan_bounds(tree, grid)
+            report.rows[0]["pass"] = False
+            return report
+
+        monkeypatch.setattr(harness, "scan_bounds", failing_scan)
+        code, out, err = run_cli(capsys, "scatter", "--input", "11", "--points", "4")
+        assert code == 1
+        assert out.count(",false") == 1
+        assert "1 bound violations" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "scatter", "--input", "11",
@@ -259,6 +272,13 @@ class TestDiagnose:
         assert out == ""
         assert "L must be" in err
 
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "parseval_total", lambda L: 0.5)
+        code, out, err = run_cli(capsys, "diagnose", "--L", "16", "--eps", "0.1")
+        assert code == 1
+        assert ",band_total," in out and out.count(",false") == 1
+        assert "violated" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "diagnose", "--L", "16", "--eps", "0.1",
                                "--format", "json")
@@ -304,6 +324,20 @@ class TestFormatErrors:
         assert code == 2
         assert out == ""
         assert "invalid choice" in err
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("argv", [
+        ("run", "--input", "01", "--gamma", "4"),
+        ("sweep", "--n", "4", "--gamma", "8", "--instances", "1"),
+    ])
+    def test_is_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}")
+        assert not path.parent.exists()
 
 
 class TestUsage:

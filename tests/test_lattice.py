@@ -10,43 +10,43 @@ from nandwalk import (
     build_oracle,
     build_runway,
     dense_eig,
-    extra_node,
     parse_input,
-    runway_node,
-    tree_node,
 )
 from nandwalk.lattice import DENSE_EIG_CAP
 from conftest import random_tree
 
 
+def upper_edges(H) -> set:
+    """Undirected edges as (u, v) index pairs with u < v."""
+    coo = H.matrix.tocoo()
+    return {(int(u), int(v)) for u, v in zip(coo.row, coo.col) if u < v}
+
+
 class TestIndexMap:
-    def test_round_trip_all_layouts(self):
+    def test_blocks_tile_every_layout(self):
         # the full layout and the bare runway (depth=None)
         for imap in (NodeIndexMap(3, 5), NodeIndexMap(None, 4)):
-            for i in range(imap.dim):
-                assert imap.index(imap.node(i)) == i
+            runway = imap.runway_indices(np.arange(-imap.M, imap.M + 1))
+            blocks = np.concatenate([runway, imap.tree_indices(), imap.extra_indices()])
+            assert np.array_equal(blocks, np.arange(imap.dim))
 
     def test_canonical_order(self):
         imap = NodeIndexMap(1, 2)
         assert imap.dim == 5 + 3 + 2
-        assert imap.node(0) == runway_node(-2)
-        assert imap.node(4) == runway_node(2)
-        assert imap.node(5) == tree_node(0, 0)
-        assert imap.node(7) == tree_node(1, 1)
-        assert imap.node(8) == extra_node(0)
+        assert list(imap.runway_indices([-2, 2])) == [0, 4]
+        assert list(imap.tree_indices()) == [5, 6, 7]
+        assert list(imap.extra_indices()) == [8, 9]
+        assert NodeIndexMap(2, 3).tree_indices().size == 7
+        assert NodeIndexMap(2, 3).extra_indices().size == 4
 
-    def test_rejects_unknown_nodes(self):
+    def test_rejects_runway_site_out_of_range(self):
         imap = NodeIndexMap(2, 3)
-        with pytest.raises(KeyError):
-            imap.index(runway_node(4))
-        with pytest.raises(KeyError):
-            imap.index(tree_node(3, 0))
-        with pytest.raises(KeyError):
-            imap.index(extra_node(4))
-        bare = NodeIndexMap(None, 3)
-        for node in (tree_node(0, 0), tree_node(1, 1), extra_node(0)):
+        for r in (4, -4):
             with pytest.raises(KeyError):
-                bare.index(node)
+                imap.runway_indices([0, r])
+        bare = NodeIndexMap(None, 3)
+        assert bare.dim == 7
+        assert bare.tree_indices().size == bare.extra_indices().size == 0
 
     def test_rejects_empty_runway(self):
         with pytest.raises(ValueError):
@@ -65,11 +65,11 @@ class TestSublattice:
     def test_classes(self):
         imap = NodeIndexMap(2, 3)
         cls = imap.sublattice()
-        assert cls[imap.index(runway_node(-3))] == 1
-        assert cls[imap.index(runway_node(0))] == 0
-        assert cls[imap.index(tree_node(0, 0))] == 1
-        assert cls[imap.index(tree_node(2, 3))] == 1
-        assert cls[imap.index(extra_node(3))] == 0
+        assert cls[0] == 1  # runway site -3
+        assert cls[3] == 0  # runway site 0
+        assert cls[7] == 1  # the root
+        assert cls[13] == 1  # leaf 3
+        assert cls[17] == 0  # extra 3
 
     def test_every_edge_joins_opposite_classes(self, rng):
         for n_leaves in (2, 8, 32):
@@ -98,10 +98,8 @@ class TestBuildOracle:
     def test_mixed(self):
         H = build_oracle(parse_input("0110"), 1)
         assert H.matrix.nnz == 4
-        assert H.edges() == {
-            frozenset((tree_node(2, 1), extra_node(1))),
-            frozenset((tree_node(2, 2), extra_node(2))),
-        }
+        # leaf i at extras_off - N + i = 6 + i, extra i at 10 + i
+        assert upper_edges(H) == {(7, 11), (8, 12)}
 
 
 class TestBuildDriver:
@@ -109,13 +107,8 @@ class TestBuildDriver:
         H = build_driver(1, 1)
         assert H.dim == 8  # the full layout: extras carry no driver edge
         assert H.matrix.nnz == 10  # 5 undirected edges
-        assert H.edges() == {
-            frozenset((runway_node(-1), runway_node(0))),
-            frozenset((runway_node(0), runway_node(1))),
-            frozenset((runway_node(0), tree_node(0, 0))),
-            frozenset((tree_node(0, 0), tree_node(1, 0))),
-            frozenset((tree_node(0, 0), tree_node(1, 1))),
-        }
+        # runway sites -1, 0, 1 at 0, 1, 2; root 3; leaves 4, 5
+        assert upper_edges(H) == {(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)}
 
     def test_depth2_m2_dim(self):
         assert build_driver(2, 2).dim == 5 + 7 + 4
@@ -125,8 +118,8 @@ class TestBuildDriver:
         deg = np.diff(H.matrix.indptr)
         assert deg.max() == 3.0
         # runway endpoints have degree 1
-        assert deg[H.index_map.index(runway_node(-6))] == 1.0
-        assert deg[H.index_map.index(runway_node(6))] == 1.0
+        assert deg[0] == 1.0
+        assert deg[12] == 1.0
 
 
 class TestBuildFull:
@@ -143,7 +136,7 @@ class TestBuildFull:
             t = random_tree(rng, n_leaves)
             full = build_full(t, M=5)
             driver, oracle = build_driver(t.depth, 5), build_oracle(t, 5)
-            assert full.edges() == driver.edges() | oracle.edges()
+            assert upper_edges(full) == upper_edges(driver) | upper_edges(oracle)
             assert (full.matrix != driver.matrix + oracle.matrix).nnz == 0
 
     def test_degree_census(self, rng):
@@ -152,11 +145,9 @@ class TestBuildFull:
         deg = np.diff(H.matrix.indptr)
         imap = H.index_map
         for i, b in enumerate(t.bits):
-            assert deg[imap.index(extra_node(i))] == float(b)
-            assert deg[imap.index(tree_node(3, i))] == 1.0 + b
-        assert deg[imap.index(runway_node(-4))] == 1.0
-        assert deg[imap.index(runway_node(4))] == 1.0
-        assert deg[imap.index(runway_node(0))] == 3.0
+            assert deg[imap.extras_off + i] == float(b)
+            assert deg[imap.extras_off - imap.n_leaves + i] == 1.0 + b
+        assert list(deg[imap.runway_indices([-4, 4, 0])]) == [1.0, 1.0, 3.0]
         assert deg.max() <= 3.0
 
     def test_spectral_radius_bound(self, rng):
@@ -182,21 +173,20 @@ class TestApplyH:
         H = build_full(parse_input("01"), M=5)
         imap = H.index_map
         v = np.zeros(H.dim)
-        v[imap.index(runway_node(2))] = 1.0
+        v[imap.runway_indices(2)] = 1.0
         w = H.matrix @ v
         expect = np.zeros(H.dim)
-        expect[imap.index(runway_node(1))] = -1.0
-        expect[imap.index(runway_node(3))] = -1.0
+        expect[imap.runway_indices([1, 3])] = -1.0
         assert np.array_equal(w, expect)
 
     def test_origin_couples_to_root(self):
         H = build_full(parse_input("01"), M=5)
         imap = H.index_map
         v = np.zeros(H.dim)
-        v[imap.index(runway_node(0))] = 1.0
+        v[imap.runway_indices(0)] = 1.0
         w = H.matrix @ v
-        nz = {imap.node(int(i)) for i in np.nonzero(w)[0]}
-        assert nz == {runway_node(-1), runway_node(1), tree_node(0, 0)}
+        # runway sites -1 and 1, and the root
+        assert list(np.nonzero(w)[0]) == [4, 6, imap.tree_off]
         assert set(w[w != 0]) == {-1.0}
 
     def test_zero_vector(self):
