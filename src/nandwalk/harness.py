@@ -13,10 +13,11 @@ run and sweep decide through dynamics.run_algorithm and its Chebyshev
 propagator, with half-runway M = 3L.  eval writes text or json, run and
 embed-parity json, the tables csv or json.
 
-Exit status: 0 success, 1 a verification failed, 2 usage error.  The
-tables carry the configuration hash, package version, column schema and
-generation time; run json carries the hash and version; eval and
-embed-parity output carry none of them.
+Exit status: 0 success, 1 a verification failed, 2 usage error.  An
+--out path that cannot be opened for writing is a usage error, found
+before any work is done.  The tables carry the configuration hash,
+package version, column schema and generation time; run json carries the
+hash and version; eval and embed-parity output carry none of them.
 """
 
 from __future__ import annotations
@@ -102,17 +103,32 @@ def emit_table(config_digest: str, schema, rows, fmt, out, summary=None, footer=
     _emit("\n".join(lines) + "\n", out)
 
 
+def _open_out(out_path, mode="w"):
+    """Open out_path for writing; a path that cannot be opened is a usage error."""
+    try:
+        return open(out_path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out_path}: {exc.strerror}") from exc
+
+
+def _check_out(out_path):
+    """Fail before any work when out_path is set and cannot be opened for
+    writing.  Opening to append leaves an existing file as it is, and a
+    file the check creates is removed again."""
+    if not out_path:
+        return
+    existed = os.path.lexists(out_path)
+    _open_out(out_path, "a").close()
+    if not existed:
+        os.remove(out_path)
+
+
 def _emit(text: str, out_path):
-    """Write text to out_path, or to stdout when it is unset; a path that
-    cannot be opened is a usage error."""
+    """Write text to out_path, or to stdout when it is unset."""
     if not out_path:
         sys.stdout.write(text)
         return
-    try:
-        fh = open(out_path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot write {out_path}: {exc.strerror}") from exc
-    with fh:
+    with _open_out(out_path) as fh:
         fh.write(text)
 
 
@@ -414,6 +430,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        _check_out(getattr(args, "out", None))
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,12 +19,15 @@ tree evaluates to 1 and 0 when it evaluates to 0.  Y is stored as a
 projective (num, den) pair so poles are ordinary data and the recursion
 never divides by zero.
 
-Equal ordered subtrees have equal Y, so y_bottom folds once per subtree
-type: a table labels the leaves by bit and each level's nodes by the
-ordered pair of their children's labels.  Height h holds at most
-min(N / 2^h, 2^(2^h)) types, 2 + 4 + 16 + 128 + 64 + ... + 1 = 277 of the
-2,047 nodes at N = 1024, and pairs keep their order, so every value is
-bitwise that of the fold over all nodes.
+Subtrees that are equal up to swapping children have equal Y, so y_bottom
+folds once per subtree type: a table labels the leaves by bit and each
+level's nodes by the unordered pair (min, max) of their children's labels.
+With K types at height h - 1, height h holds at most min(N / 2^h,
+K(K + 1)/2) types: 2 + 3 + 6 + 21 + 64 + 32 + ... + 1 = 159 of the 2,047
+nodes at N = 1024 (129-149 on 80 random trees, half of them with
+P(bit = 1) = 0.618), and at most 2 per level on the adversarial trees of
+hard_instance.  combine_y is bitwise symmetric in its two arguments, so
+every value is bitwise that of the fold over all nodes.
 
 For 0 < E < 1/(16 sqrt(N)) the root value is still readable from y(E):
 
@@ -89,13 +92,6 @@ class SymbolicY(enum.Enum):
     POLE = "pole"
 
 
-def _renormalized(num, den):
-    scale = np.maximum(np.abs(num), np.abs(den))
-    if np.any(scale == 0.0):
-        raise DegenerateRecursionError("projective recursion produced (0, 0)")
-    return ProjectiveValue(num=num / scale, den=den / scale)
-
-
 def leaf_y(bit, E):
     """Y on a leaf edge: E/(1-E^2) with the pendant node, -1/E without.
 
@@ -110,47 +106,83 @@ def combine_y(y1: ProjectiveValue, y2: ProjectiveValue, E) -> ProjectiveValue:
     """One recursion step: Y = -1/(E + Y' + Y''), projectively.
 
     With Y' = p1/q1 and Y'' = p2/q2 this is
-    (-q1 q2) / (E q1 q2 + p1 q2 + p2 q1), renormalized.
+    (-q1 q2) / (E q1 q2 + (p1 q2 + p2 q1)), renormalized to
+    max(|num|, |den|) = 1.  IEEE addition and multiplication commute, so
+    this grouping is bitwise symmetric in y1 and y2, which the unordered
+    type table of y_bottom relies on.  Raises DegenerateRecursionError when
+    both components vanish.
     """
+    p1, q1, p2, q2 = (np.asarray(v, dtype=float) for v in (y1.num, y1.den, y2.num, y2.den))
     E = np.asarray(E, dtype=float)
-    qq = np.asarray(y1.den) * np.asarray(y2.den)
-    num = -qq
-    den = E * qq + np.asarray(y1.num) * np.asarray(y2.den) + np.asarray(y2.num) * np.asarray(y1.den)
-    return _renormalized(num, den)
+    shape = np.broadcast_shapes(p1.shape, q1.shape, p2.shape, q2.shape, E.shape)
+    qq, den, tmp, scale = (np.empty(shape) for _ in range(4))
+    np.multiply(q1, q2, out=qq)
+    np.multiply(p1, q2, out=den)
+    np.multiply(p2, q1, out=tmp)
+    den += tmp
+    np.multiply(E, qq, out=tmp)
+    den += tmp
+    np.maximum(np.abs(qq, out=tmp), np.abs(den, out=scale), out=scale)
+    if not scale.all():
+        raise DegenerateRecursionError("projective recursion produced (0, 0)")
+    # -(qq / scale) is bitwise (-qq) / scale
+    np.negative(np.divide(qq, scale, out=qq), out=qq)
+    den /= scale
+    # [()] turns 0-d results back into scalars and leaves arrays as they are
+    return ProjectiveValue(num=qq[()], den=den[()])
 
 
-# Energies per chunk of the y_bottom fold.  The fold is elementwise in E,
-# so chunking leaves every value bitwise unchanged and bounds the working
-# set at (subtree types) x Y_BOTTOM_CHUNK.  At N = 1024 on a 16,384-point
-# grid (one CPU) the type-table fold takes ~0.07 s, against 0.32 s for the
-# fold over all 2,047 nodes; chunks of 256 to 2,048 ran within noise.
-Y_BOTTOM_CHUNK = 256
+# Element budget of one y_bottom chunk: a chunk takes
+# max(1, _Y_BOTTOM_BUDGET // widest level) energies, so its arrays stay
+# cache-sized whatever the tree.  The fold is elementwise in E, so chunking
+# leaves every value bitwise unchanged.  On the predict_scatter benchmark
+# (N = 1024, 16,384 energies, widest level 43-64 types; 6 s runs pinned to
+# one CPU of a 2-core Xeon VM with 2 MiB of L2 per core), budgets of
+# 16K / 32K / 64K / 128K elements gave 25-26 / 29-38 / 29-35 / 28-29
+# ops/s, against 15-16 for the ordered table with 256 energies per chunk.
+_Y_BOTTOM_BUDGET = 65_536
+
+
+def _subtree_types(bits):
+    """Table of unordered subtree types, built upward from the leaves.
+
+    Returns the distinct leaf bits and, per level, the arrays (a, b) with
+    a <= b: type t of the level is the node whose children have the types
+    a[t] and b[t] of the level below.
+    """
+    leaf_bits, label = np.unique(np.asarray(bits), return_inverse=True)
+    levels, n_types = [], leaf_bits.size
+    while label.size > 1:
+        left, right = label[0::2], label[1::2]
+        key = np.minimum(left, right) * n_types + np.maximum(left, right)
+        types, label = np.unique(key, return_inverse=True)
+        levels.append(divmod(types, n_types))
+        n_types = types.size
+    return leaf_bits, levels
 
 
 def y_bottom(tree: TreeInput, E) -> ProjectiveValue:
     """Y on the root-to-runway edge, folded from all N leaves.
 
     E may be a scalar or a 1-d grid; the fold is vectorized over the grid,
-    Y_BOTTOM_CHUNK energies at a time.  Satisfies y(-E) = -y(E).
+    one chunk of energies at a time, and evaluates each level once per
+    unordered subtree type.  Satisfies y(-E) = -y(E).
     """
     E_in = np.asarray(E, dtype=float)
     if E_in.ndim > 1:
         raise ValueError(f"E must be a scalar or a 1-d grid, got shape {E_in.shape}")
     Ev = np.atleast_1d(E_in)
-    leaf_bits, label = np.unique(np.asarray(tree.bits), return_inverse=True)
-    levels, n_types = [], leaf_bits.size
-    while label.size > 1:
-        types, label = np.unique(label[0::2] * n_types + label[1::2], return_inverse=True)
-        levels.append(divmod(types, n_types))
-        n_types = types.size
+    leaf_bits, levels = _subtree_types(tree.bits)
+    widest = max([leaf_bits.size] + [a.size for a, _ in levels])
+    step = max(1, _Y_BOTTOM_BUDGET // widest)
     num, den = np.empty(Ev.shape), np.empty(Ev.shape)
-    for lo in range(0, Ev.size, Y_BOTTOM_CHUNK):
-        Ec = Ev[lo:lo + Y_BOTTOM_CHUNK]
+    for lo in range(0, Ev.size, step):
+        Ec = Ev[lo:lo + step]
         y = leaf_y(leaf_bits[:, None], Ec)
-        for left, right in levels:
-            y = combine_y(ProjectiveValue(y.num[left], y.den[left]),
-                          ProjectiveValue(y.num[right], y.den[right]), Ec)
-        num[lo:lo + Y_BOTTOM_CHUNK], den[lo:lo + Y_BOTTOM_CHUNK] = y.num[0], y.den[0]
+        for a, b in levels:
+            y = combine_y(ProjectiveValue(y.num[a], y.den[a]),
+                          ProjectiveValue(y.num[b], y.den[b]), Ec)
+        num[lo:lo + step], den[lo:lo + step] = y.num[0], y.den[0]
     if E_in.ndim == 0:
         return ProjectiveValue(num=float(num[0]), den=float(den[0]))
     return ProjectiveValue(num=num, den=den)

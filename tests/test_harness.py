@@ -339,6 +339,34 @@ class TestUnwritableOut:
         assert err.startswith(f"error: cannot write {path}")
         assert not path.parent.exists()
 
+    @pytest.mark.parametrize("argv, counted", [
+        (("sweep", "--n", "4", "--gamma", "8", "--instances", "1"), "_sweep_task"),
+        (("scatter", "--input", "0110", "--points", "3"), "scan_bounds"),
+    ])
+    def test_fails_before_computing(self, capsys, monkeypatch, tmp_path, argv, counted):
+        calls = []
+        real = getattr(harness, counted)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, counted, counting)
+        path = tmp_path / "missing" / "x.csv"
+        code, _, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 2 and calls == []
+        assert err.startswith(f"error: cannot write {path}: No such file or directory")
+        code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+        assert code == 0 and len(calls) == 1
+
+    def test_check_leaves_files_alone(self, tmp_path):
+        # a file the check creates is removed; an existing one keeps its bytes
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        harness._check_out(str(fresh))
+        harness._check_out(str(kept))
+        assert not fresh.exists() and kept.read_text() == "old\n"
+
 
 class TestUsage:
     def test_no_command(self, capsys):

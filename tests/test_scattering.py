@@ -30,8 +30,37 @@ from nandwalk import (
     y_bottom,
 )
 import nandwalk.scattering as scattering
-from nandwalk.scattering import Y_BOTTOM_CHUNK
 from conftest import random_tree
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def subtree_type_counts(bits):
+    """Distinct unordered subtrees per level, leaves first, counted by a
+    canonical string: a leaf is its bit, a node its children's strings in
+    sorted order."""
+    level = [str(b) for b in bits]
+    counts = [len(set(level))]
+    while len(level) > 1:
+        level = ["(" + "".join(sorted(level[i:i + 2])) + ")" for i in range(0, len(level), 2)]
+        counts.append(len(set(level)))
+    return counts
+
+
+def chunk_size(tree):
+    """Energies per y_bottom chunk: the element budget over the widest level."""
+    return max(1, scattering._Y_BOTTOM_BUDGET // max(subtree_type_counts(tree.bits)))
+
+
+def chunked_grid(tree, seed):
+    """Energies spanning three full chunks of tree's fold plus a remainder."""
+    chunk = chunk_size(tree)
+    grid = np.random.default_rng(seed).uniform(-1.9, 1.9, 3 * chunk + 17)
+    assert grid.size // chunk >= 3 and grid.size % chunk != 0
+    return grid
 
 
 class TestLeafY:
@@ -91,6 +120,41 @@ class TestCombineY:
         with pytest.raises(DegenerateRecursionError):
             combine_y(ProjectiveValue(1.0, 0.0), ProjectiveValue(-1.0, 0.0), 0.0)
 
+    def test_symmetric_bitwise(self):
+        # 10^5 random pairs, a fifth of them poles (den = 0) and a fifth
+        # zeros (num = 0) on either side, over 30 decades of magnitude
+        rng = np.random.default_rng(71)
+        n = 100_000
+
+        def draw():
+            num = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-15, 15, n)
+            den = rng.standard_normal(n)
+            kind = rng.integers(0, 5, n)
+            return np.where(kind == 1, 0.0, num), np.where(kind == 0, 0.0, den)
+
+        p1, q1 = draw()
+        p2, q2 = draw()
+        q2[(q1 == 0.0) & (q2 == 0.0)] = 1.0  # two poles make (0, 0)
+        E = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(-1.9, 1.9, n))
+        inputs = [p1, q1, p2, q2, E]
+        saved = [a.copy() for a in inputs]
+        y1, y2 = ProjectiveValue(p1, q1), ProjectiveValue(p2, q2)
+        ab, ba = combine_y(y1, y2, E), combine_y(y2, y1, E)
+        assert same_bits(ab.num, ba.num) and same_bits(ab.den, ba.den)
+        assert np.any(ab.den == 0.0) and np.any(ab.num == 0.0)
+        assert all(same_bits(a, b) for a, b in zip(inputs, saved))
+        # the check has teeth: (E q1 q2 + p1 q2) + p2 q1 is not symmetric
+        left = E * (q1 * q2) + p1 * q2 + p2 * q1
+        right = E * (q2 * q1) + p2 * q1 + p1 * q2
+        assert not same_bits(left, right)
+        # scalar and 0-d inputs give float-convertible results, the same bits
+        for i in range(0, n, 9973):
+            for cast in (float, np.asarray):
+                one = combine_y(ProjectiveValue(cast(p1[i]), cast(q1[i])),
+                                ProjectiveValue(cast(p2[i]), cast(q2[i])), cast(E[i]))
+                assert same_bits(float(one.num), ab.num[i])
+                assert same_bits(float(one.den), ab.den[i])
+
 
 class TestYBottom:
     def test_matches_scalar_fold(self, rng):
@@ -139,11 +203,13 @@ class TestYBottom:
         y = y_bottom(t, 1e-4)
         assert float(y.magnitude) > 1.0 / (4.0 * 2.0 * 1e-4)  # > 1250
 
-    def test_chunked_fold_matches_scalar_folds_bitwise(self):
-        # three full chunks plus a remainder; the fold is elementwise in E
+    def test_chunked_fold_matches_scalar_folds_bitwise(self, monkeypatch):
+        # three full chunks plus a remainder; the fold is elementwise in E.
+        # A small budget keeps the per-energy scalar folds affordable.
+        monkeypatch.setattr(scattering, "_Y_BOTTOM_BUDGET", 768)
         rng = np.random.default_rng(17)
         t = random_tree(rng, 8)
-        grid = rng.uniform(-1.9, 1.9, 3 * Y_BOTTOM_CHUNK + 17)
+        grid = chunked_grid(t, 18)
         yg = y_bottom(t, grid)
         assert yg.num.shape == yg.den.shape == grid.shape
         for i, E in enumerate(grid):
@@ -182,62 +248,82 @@ def plain_fold(bits, E):
     return y.num[0], y.den[0]
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+def assert_fold_bitwise(tree):
+    """y_bottom over a grid of three chunks plus a remainder, and at one
+    energy of it, is bitwise the plain fold."""
+    grid = chunked_grid(tree, 23)
+    y = y_bottom(tree, grid)
+    num, den = plain_fold(tree.bits, grid)
+    assert same_bits(y.num, num) and same_bits(y.den, den)
+    one = y_bottom(tree, float(grid[5]))
+    assert type(one.num) is float and type(one.den) is float
+    assert same_bits(one.num, num[5]) and same_bits(one.den, den[5])
+
+
+def fold_calls(monkeypatch, tree, E):
+    """(rows, energies) of every combine_y call in one y_bottom."""
+    calls = []
+
+    def counting(y1, y2, E):
+        calls.append(y1.num.shape)
+        return combine_y(y1, y2, E)
+
+    monkeypatch.setattr(scattering, "combine_y", counting)
+    y_bottom(tree, E)
+    return calls
 
 
 class TestSubtreeDedup:
-    """y_bottom folds once per distinct ordered subtree, bitwise as the plain fold."""
+    """y_bottom folds once per distinct unordered subtree, bitwise as the plain fold."""
 
-    GRID = np.random.default_rng(23).uniform(-1.9, 1.9, 3 * Y_BOTTOM_CHUNK + 17)
-
-    def assert_bitwise(self, tree):
-        y = y_bottom(tree, self.GRID)
-        num, den = plain_fold(tree.bits, self.GRID)
-        assert same_bits(y.num, num) and same_bits(y.den, den)
-        E = float(self.GRID[5])
-        one = y_bottom(tree, E)
-        assert type(one.num) is float and type(one.den) is float
-        assert same_bits(one.num, num[5]) and same_bits(one.den, den[5])
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        # every grid spans three chunks plus a remainder, so constant trees
+        # (one type per level) get 3 * budget + 17 energies; a small budget
+        # keeps their plain folds affordable.  TestChunks keeps the
+        # module's own budget.
+        monkeypatch.setattr(scattering, "_Y_BOTTOM_BUDGET", 4096)
 
     @pytest.mark.parametrize("depth", range(1, 11))
     def test_random_trees(self, depth):
         rng = np.random.default_rng(100 + depth)
         for _ in range(3):
-            self.assert_bitwise(random_tree(rng, 2**depth))
+            assert_fold_bitwise(random_tree(rng, 2**depth))
 
     @pytest.mark.parametrize("root", [0, 1])
     @pytest.mark.parametrize("depth", [1, 2, 5, 10])
     def test_hard_instances(self, depth, root):
         # adversarial draws swap children at random
-        self.assert_bitwise(hard_instance(depth, 31 * depth + root, root))
+        assert_fold_bitwise(hard_instance(depth, 31 * depth + root, root))
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_constant_trees(self, bit):
         for depth in range(1, 11):
-            self.assert_bitwise(TreeInput.from_bits([bit] * 2**depth))
+            assert_fold_bitwise(TreeInput.from_bits([bit] * 2**depth))
 
     def test_rows_per_height_bounded(self, monkeypatch):
-        rows = []
-
-        def counting(y1, y2, E):
-            rows.append(y1.num.shape[0])
-            return combine_y(y1, y2, E)
-
-        monkeypatch.setattr(scattering, "combine_y", counting)
         rng = np.random.default_rng(29)
         trees = [random_tree(rng, 1024), hard_instance(10, 3, 0), hard_instance(10, 4, 1),
-                 TreeInput.from_bits([0, 1] * 512)]
+                 TreeInput.from_bits([0, 1] * 512),
+                 TreeInput.from_bits((rng.random(1024) < 0.618).astype(int).tolist())]
         for tree in trees:
-            rows.clear()
-            y_bottom(tree, 0.3)
+            rows = [r for r, _ in fold_calls(monkeypatch, tree, 0.3)]
             N = tree.n_leaves
-            assert len(rows) == 10
+            counts = subtree_type_counts(tree.bits)
+            assert rows == counts[1:] and len(rows) == 10
             for h, n in enumerate(rows, start=1):
-                assert 1 <= n <= min(N // 2**h, 2 ** 2**h)
+                K = counts[h - 1]
+                assert 1 <= n <= min(N // 2**h, K * (K + 1) // 2)
             assert rows[-1] == 1
-            assert sum(rows) + 2 <= 277
+            assert sum(rows) + 2 <= 159
+
+    @pytest.mark.parametrize("root", [0, 1])
+    @pytest.mark.parametrize("depth", [2, 5, 10, 14])
+    def test_hard_instances_two_rows_per_level(self, monkeypatch, depth, root):
+        # a value-0 node has children (1, 1), a value-1 node (0, 1) in
+        # either order: two unordered types per level
+        calls = fold_calls(monkeypatch, hard_instance(depth, 5 * depth + root, root), 0.3)
+        assert len(calls) == depth and max(r for r, _ in calls) <= 2
 
     def test_degenerate_still_raises(self):
         with pytest.raises(DegenerateRecursionError):
@@ -247,6 +333,30 @@ class TestSubtreeDedup:
         # the chunked fold slices the first axis, which must be energies
         with pytest.raises(ValueError, match="1-d"):
             y_bottom(parse_input("1111"), np.linspace(0.001, 0.5, 300).reshape(300, 1))
+
+
+class TestChunks:
+    """The module's element budget sets the energies per chunk."""
+
+    @pytest.mark.parametrize("tree", [random_tree(np.random.default_rng(31), 1024),
+                                      hard_instance(14, 1, 1)], ids=["random_1024", "hard_14"])
+    def test_chunks_follow_budget(self, monkeypatch, tree):
+        # each chunk but the last takes budget // widest energies; on
+        # adversarial trees one chunk covers a 16,384-point grid
+        G = 16_384
+        calls = fold_calls(monkeypatch, tree, np.linspace(-1.9, 1.9, G))
+        step = chunk_size(tree)
+        depth = tree.n_leaves.bit_length() - 1
+        assert [g for _, g in calls] == [
+            min(step, G - lo) for lo in range(0, G, step) for _ in range(depth)]
+        if max(subtree_type_counts(tree.bits)) <= 2:
+            assert step >= G
+
+    @pytest.mark.parametrize("p_one", [0.5, 0.618])
+    def test_budget_chunks_bitwise(self, p_one):
+        # N = 1024: chunks of about a thousand energies
+        rng = np.random.default_rng(37)
+        assert_fold_bitwise(TreeInput.from_bits((rng.random(1024) < p_one).astype(int).tolist()))
 
 
 class TestYAtZero:
