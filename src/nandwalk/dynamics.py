@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 from scipy.special import jv
 
-from .nand_core import TreeInput
+from .nand_core import TreeInput, _is_int_type
 from .lattice import HamiltonianGraph, NodeIndexMap, build_full
 from .scattering import SymbolicY, y_at_zero
 
@@ -113,7 +113,7 @@ def _cos_sin(Hs, a: np.ndarray, v: np.ndarray):
     cos_v = a[0] * v
     sin_v = np.zeros_like(v)
     acc = (cos_v, sin_v)
-    prev = v.copy()
+    prev = v
     cur = Hs @ v
     cur *= 0.5
     daxpy(cur, sin_v, a=a[1])
@@ -164,9 +164,9 @@ def evolve_cheb(H: HamiltonianGraph, psi: np.ndarray, t: float) -> np.ndarray:
 class RunConfig:
     """Parameters of one decision run.
 
-    L is the packet length (forced even, >= 4), M the half-runway length
-    (>= 3L so nothing reaches the walls by measurement time), t_run the
-    evolution time (L/2 by default).
+    L is the packet length (an even integer >= 4), M the half-runway
+    length (an integer >= 3L so nothing reaches the walls by measurement
+    time), t_run the finite evolution time (L/2 by default).
     """
 
     gamma: float
@@ -177,10 +177,12 @@ class RunConfig:
     def __post_init__(self):
         if not 1 <= self.gamma < math.inf:
             raise ValueError("gamma must be finite and >= 1")
-        if self.L < 4 or self.L % 2:
+        if not _is_int_type(type(self.L)) or self.L < 4 or self.L % 2:
             raise ValueError("L must be an even integer >= 4")
-        if self.M < 3 * self.L:
-            raise ValueError("M must be >= 3 L (wall-insensitive margin)")
+        if not _is_int_type(type(self.M)) or self.M < 3 * self.L:
+            raise ValueError("M must be an integer >= 3 L (wall-insensitive margin)")
+        if not math.isfinite(self.t_run):
+            raise ValueError("t_run must be finite")
 
     @classmethod
     def for_tree(cls, n_leaves: int, gamma: float = 16.0, m_factor: int = 3) -> "RunConfig":

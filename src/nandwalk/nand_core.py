@@ -25,6 +25,11 @@ def _is_power_of_two(k: int) -> bool:
     return k >= 1 and (k & (k - 1)) == 0
 
 
+def _is_int_type(t: type) -> bool:
+    """True for Python and numpy integer types; bool and float are not."""
+    return issubclass(t, (int, np.integer)) and t is not bool
+
+
 @dataclass(frozen=True)
 class TreeInput:
     """A NAND-tree instance: N = 2^n leaf bits, depth n >= 1.
@@ -40,8 +45,9 @@ class TreeInput:
             raise NonPowerOfTwoError(
                 f"instance length {len(self.bits)} is not a power of two >= 2"
             )
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("leaf bits must be 0 or 1")
+        # one check per distinct type, then one per distinct value
+        if not all(map(_is_int_type, set(map(type, self.bits)))) or not set(self.bits) <= {0, 1}:
+            raise ValueError("leaf bits must be the integers 0 or 1")
 
     @classmethod
     def from_bits(cls, bits) -> "TreeInput":

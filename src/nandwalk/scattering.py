@@ -235,9 +235,11 @@ def predict_p_right(tree: TreeInput, config):
 
     With E = -2 cos(theta), T and R from transmission, and the packet's
     coefficient c(theta) = A(theta - pi/2) on the plane wave e^{i theta r},
-    the packet's overlaps with the left- and right-incoming scattering
-    states are alpha = c(theta) + conj(R) c(-theta) and
-    beta = conj(T) c(-theta), and on sites r >= 1
+    one packet_spectrum call at theta - pi/2 gives c(theta) as A and
+    c(-theta) = A(-theta - pi/2) as B(theta - pi/2).  The packet's overlaps
+    with the left- and right-incoming scattering states are
+    alpha = c(theta) + conj(R) c(-theta) and beta = conj(T) c(-theta), and
+    on sites r >= 1
 
         psi(r, t) = int_0^pi dtheta/2pi e^{-iEt} (a e^{i theta r} + beta e^{-i theta r}),
         a = alpha T + beta R.
@@ -252,8 +254,7 @@ def predict_p_right(tree: TreeInput, config):
     theta = (np.arange(G) + 0.5) * (math.pi / G)
     E = -2.0 * np.cos(theta)
     T, R = transmission(E, y_bottom(tree, E))
-    c_in, _ = packet_spectrum(config.L, theta - math.pi / 2.0)
-    c_out, _ = packet_spectrum(config.L, -theta - math.pi / 2.0)
+    c_in, c_out = packet_spectrum(config.L, theta - math.pi / 2.0)
     alpha = c_in + R.conj() * c_out
     beta = T.conj() * c_out
     a = alpha * T + beta * R

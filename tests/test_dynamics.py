@@ -234,6 +234,28 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(gamma=2.0, L=8, M=16, t_run=4.0)
 
+    @pytest.mark.parametrize("L", [8.0, True, np.float64(8.0)], ids=repr)
+    def test_rejects_non_integer_length(self, L):
+        # L = 8.0 used to be accepted, and run_algorithm then died with an IndexError
+        with pytest.raises(ValueError):
+            RunConfig(gamma=16.0, L=L, M=24, t_run=4.0)
+
+    @pytest.mark.parametrize("M", [24.5, 24.0, np.float64(24.0)], ids=repr)
+    def test_rejects_non_integer_runway(self, M):
+        with pytest.raises(ValueError):
+            RunConfig(gamma=16.0, L=8, M=M, t_run=4.0)
+
+    @pytest.mark.parametrize("t_run", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, t_run):
+        # nan used to fail deep in the Chebyshev window, inf with an
+        # OverflowError, and predict_p_right returned p_t = nan
+        with pytest.raises(ValueError, match="t_run"):
+            RunConfig(gamma=16.0, L=8, M=24, t_run=t_run)
+
+    def test_numpy_integers_accepted(self):
+        cfg = RunConfig(gamma=16.0, L=np.int64(8), M=np.int32(24), t_run=4.0)
+        assert cfg.L == 8 and cfg.M == 24
+
     @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_gamma(self, gamma):
         with pytest.raises(ValueError):

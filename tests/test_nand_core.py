@@ -84,6 +84,22 @@ class TestParse:
             parse_input("1")
 
 
+class TestTreeInputBits:
+    @pytest.mark.parametrize("bits", [(True, False), (1.0, 0.0), (np.True_, np.False_),
+                                      (1, 0.0), (1, 2), ("1", "0")], ids=repr)
+    def test_rejects_non_integer_or_non_binary_bits(self, bits):
+        # bools and floats would print as 'TrueFalse' or '1.00.0' in to_text
+        with pytest.raises(ValueError):
+            TreeInput(bits=bits)
+
+    def test_numpy_integers_accepted(self):
+        t = TreeInput(bits=(np.int64(1), np.int8(0), np.uint8(1), 0))
+        assert t.to_text() == "1010"
+
+    def test_from_bits_converts(self):
+        assert TreeInput.from_bits([True, False, 1.0, np.True_]).to_text() == "1011"
+
+
 class TestEval:
     def test_two_leaves(self):
         assert eval_nand(parse_input("11")) == 0
