@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 from scipy.special import jv
 
-from .nand_core import TreeInput, _is_int_type
+from .nand_core import TreeInput, _check_int
 from .lattice import HamiltonianGraph, NodeIndexMap, build_full
 from .scattering import SymbolicY, y_at_zero
 
@@ -50,12 +50,13 @@ def initial_packet(L: int, M: int, index_map: NodeIndexMap) -> np.ndarray:
     the packet right-moving with group velocity 2.  The phases are set
     exactly as (1, i, -1, -i)[r mod 4], so the packet is real on even sites
     and imaginary on odd ones, which evolve_cheb propagates in one real
-    recurrence.
+    recurrence.  Raises ValueError unless 1 <= L <= M = index_map.M.
     """
+    _check_int("packet length L", L, 1)
+    if M != index_map.M:
+        raise ValueError(f"M={M} does not match the index map's M={index_map.M}")
     if L > M:
         raise ValueError(f"packet length L={L} exceeds half-runway M={M}")
-    if L < 1:
-        raise ValueError("packet length must be positive")
     psi = np.zeros(index_map.dim, dtype=complex)
     rs = np.arange(-L + 1, 1)
     psi[index_map.runway_indices(rs)] = _QUARTER_PHASES[rs % 4] / math.sqrt(L)
@@ -83,7 +84,7 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
     j = jv(ks, x)
     hits = np.nonzero((np.abs(j) < CHEB_TOL / 100.0) & (ks > abs(x)))[0]
     if not hits.size or hits[0] + 9 > ks.size:
-        raise RuntimeError(f"Chebyshev cut-off not found within {ks.size} orders")
+        raise ArithmeticError(f"Chebyshev cut-off not found within {ks.size} orders")
     ks = ks[: hits[0] + 9]
     return (2.0 - (ks == 0)) * np.where(ks % 4 < 2, 1.0, -1.0) * j[: ks.size]
 
@@ -134,9 +135,11 @@ def evolve_cheb(H: HamiltonianGraph, psi: np.ndarray, t: float) -> np.ndarray:
     recurrence; the initial packet has v2 = 0.  The series uses the
     spectral radius bound 2 sqrt 2 and is truncated when the Bessel
     coefficient tail falls below CHEB_TOL; norm drift stays within a small
-    multiple of CHEB_TOL.  Raises ValueError on a graph outside the bound's
-    premises (see _check_forest), RuntimeError if the cut-off is not found.
+    multiple of CHEB_TOL.  ValueError: non-finite t, or a graph outside the
+    bound's premises (_check_forest); ArithmeticError: cut-off not found.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[0] != H.dim:
         raise ValueError("state dimension mismatch")
@@ -177,10 +180,10 @@ class RunConfig:
     def __post_init__(self):
         if not 1 <= self.gamma < math.inf:
             raise ValueError("gamma must be finite and >= 1")
-        if not _is_int_type(type(self.L)) or self.L < 4 or self.L % 2:
+        _check_int("L", self.L, 4)
+        if self.L % 2:
             raise ValueError("L must be an even integer >= 4")
-        if not _is_int_type(type(self.M)) or self.M < 3 * self.L:
-            raise ValueError("M must be an integer >= 3 L (wall-insensitive margin)")
+        _check_int("M (wall-insensitive margin 3 L)", self.M, 3 * self.L)
         if not math.isfinite(self.t_run):
             raise ValueError("t_run must be finite")
 
@@ -190,8 +193,7 @@ class RunConfig:
         if not math.isfinite(gamma):
             raise ValueError(f"gamma must be finite, got {gamma}")
         L = int(round(gamma * math.sqrt(n_leaves)))
-        L += L % 2
-        L = max(L, 4)
+        L = max(L + L % 2, 4)
         return cls(gamma=gamma, L=L, M=m_factor * L, t_run=L / 2.0)
 
 
@@ -206,14 +208,12 @@ class Verdict:
     config: dict
 
 
-def run_algorithm(tree: TreeInput, config: RunConfig | None = None) -> Verdict:
+def run_algorithm(tree: TreeInput, config: RunConfig) -> Verdict:
     """Build the graph, launch the packet, evolve for t_run, measure.
 
     The verdict carries |T(0)|^2 in {0, 1} from the symbolic recursion for
     comparison with the measured probability.
     """
-    if config is None:
-        config = RunConfig.for_tree(tree.n_leaves)
     H = build_full(tree, config.M)
     psi0 = initial_packet(config.L, config.M, H.index_map)
     psi_t = evolve_cheb(H, psi0, config.t_run)

@@ -13,11 +13,11 @@ run and sweep decide through dynamics.run_algorithm and its Chebyshev
 propagator, with half-runway M = 3L.  eval writes text or json, run and
 embed-parity json, the tables csv or json.
 
-Exit status: 0 success, 1 a verification failed, 2 usage error.  An
---out path that cannot be opened for writing is a usage error, found
-before any work is done.  The tables carry the configuration hash,
-package version, column schema and generation time; run json carries the
-hash and version; eval and embed-parity output carry none of them.
+Exit status: 0 success, 1 a failed check or an ArithmeticError, 2 a
+ValueError, such as an --out path that cannot be opened for writing (found
+before any work is done); any other exception escapes.  The tables carry
+the configuration hash, package version, column schema and generation time;
+run json carries the hash and version; eval and embed-parity carry none.
 """
 
 from __future__ import annotations
@@ -432,10 +432,10 @@ def cli_main(argv=None) -> int:
     try:
         _check_out(getattr(args, "out", None))
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, RuntimeError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

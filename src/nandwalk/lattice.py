@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .nand_core import TreeInput
+from .nand_core import TreeInput, _check_int
 
 
 class NodeIndexMap:
@@ -31,8 +31,9 @@ class NodeIndexMap:
     """
 
     def __init__(self, depth, M: int):
-        if M < 1:
-            raise ValueError("M must be >= 1")
+        if depth is not None:
+            _check_int("depth", depth, 0)
+        _check_int("M", M, 1)
         self.depth = depth
         self.M = M
         self.n_leaves = 0 if depth is None else 2 ** depth
@@ -41,9 +42,10 @@ class NodeIndexMap:
         self.dim = self.extras_off + self.n_leaves
 
     def runway_indices(self, rs) -> np.ndarray:
+        """Flat indices of runway sites rs; ValueError outside -M..M."""
         rs = np.asarray(rs, dtype=int)
         if np.any(np.abs(rs) > self.M):
-            raise KeyError("runway site out of range")
+            raise ValueError("runway site out of range")
         return rs + self.M
 
     def right_runway_slice(self) -> slice:
@@ -92,8 +94,7 @@ def _graph_from_edges(imap: NodeIndexMap, u, v) -> HamiltonianGraph:
 
 def build_runway(M: int) -> HamiltonianGraph:
     """Bare runway path, no tree: the free-propagation reference graph."""
-    sites = np.arange(2 * M)
-    return _graph_from_edges(NodeIndexMap(None, M), sites, sites + 1)
+    return _graph_from_edges(NodeIndexMap(None, M), np.arange(2 * M), np.arange(1, 2 * M + 1))
 
 
 def build_driver(depth: int, M: int) -> HamiltonianGraph:

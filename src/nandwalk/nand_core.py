@@ -22,12 +22,18 @@ class NonPowerOfTwoError(ValueError):
 
 
 def _is_power_of_two(k: int) -> bool:
-    return k >= 1 and (k & (k - 1)) == 0
+    return _is_int_type(type(k)) and k >= 1 and (k & (k - 1)) == 0
 
 
 def _is_int_type(t: type) -> bool:
     """True for Python and numpy integer types; bool and float are not."""
     return issubclass(t, (int, np.integer)) and t is not bool
+
+
+def _check_int(name: str, value, lo: int) -> None:
+    """ValueError unless value is a Python or numpy integer (not bool) >= lo."""
+    if not _is_int_type(type(value)) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,10 @@ class TreeInput:
 
     @classmethod
     def from_bits(cls, bits) -> "TreeInput":
-        return cls(bits=tuple(int(b) for b in bits))
+        # ints once per distinct 0/1 value; others (1.5, "1") fail __post_init__
+        bits = tuple(bits)
+        as_int = {b: int(b) for b in set(bits) if b in (0, 1)}
+        return cls(bits=tuple(map(as_int.get, bits, bits)))
 
     @property
     def depth(self) -> int:
@@ -138,8 +147,9 @@ def randomized_eval(tree: TreeInput, seed: int) -> EvalTrace:
 
 
 def _check_hard_args(depth: int, root_value: int) -> None:
-    if depth < 0 or root_value not in (0, 1):
-        raise ValueError(f"need depth >= 0 and root_value 0 or 1, got {depth}, {root_value!r}")
+    _check_int("depth", depth, 0)
+    if not _is_int_type(type(root_value)) or root_value not in (0, 1):
+        raise ValueError(f"root_value must be the integer 0 or 1, got {root_value!r}")
 
 
 def hard_instance(depth: int, seed: int, root_value: int = 1) -> TreeInput:
@@ -185,8 +195,7 @@ def hard_query_law(depth: int, root_value: int = 1) -> np.ndarray:
 def hard_query_samples(depth: int, trials: int, seed: int, root_value: int = 1) -> np.ndarray:
     """Query counts of randomized_eval over `trials` fresh adversarial
     instances: i.i.d. int64 draws from hard_query_law by inverse CDF."""
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    _check_int("trials", trials, 0)
     cdf = np.cumsum(hard_query_law(depth, root_value))
     u = np.random.default_rng(seed).random(trials)
     return np.searchsorted(cdf, u * cdf[-1], side="right").astype(np.int64)
@@ -235,11 +244,11 @@ def embed_parity(parity_bits) -> TreeInput:
     The instance has N = k^2 leaves for k input bits; flipping input bit j
     only changes the leaves whose literal references variable j.
     """
-    x = [int(b) for b in parity_bits]
-    if any(b not in (0, 1) for b in x):
+    x = list(parity_bits)
+    if not set(x) <= {0, 1}:
         raise ValueError("parity bits must be 0 or 1")
-    layout = parity_layout(len(x))
-    return TreeInput.from_bits(x[var] ^ int(neg) for var, neg in layout)
+    x = [int(b) for b in x]
+    return TreeInput.from_bits(x[var] ^ neg for var, neg in parity_layout(len(x)))
 
 
 def parity_blocks(k: int):

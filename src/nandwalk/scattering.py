@@ -81,9 +81,6 @@ class ProjectiveValue:
         with np.errstate(divide="ignore"):
             return np.asarray(self.num) / np.asarray(self.den)
 
-    def is_pole(self):
-        return np.asarray(self.den) == 0
-
 
 class SymbolicY(enum.Enum):
     """Limit of Y as E -> 0+: ZERO encodes logical 1, POLE logical 0."""
@@ -273,12 +270,10 @@ def predict_p_right(tree: TreeInput, config):
 # ---------------------------------------------------------------------------
 
 
-def energy_grid(n_leaves: int, points: int = 64, emin: float = 1e-8) -> np.ndarray:
-    """Log-spaced energies inside the validity window (0, 1/(16 sqrt(N)))."""
+def energy_grid(n_leaves: int, points: int = 64) -> np.ndarray:
+    """Log-spaced energies from 1e-8 to just below 1/(16 sqrt(N)), the validity window's edge."""
     emax = 1.0 / (16.0 * math.sqrt(n_leaves))
-    if not 0.0 < emin < emax:
-        raise ValueError(f"emin must lie in (0, {emax})")
-    return np.geomspace(emin, emax * (1.0 - 1e-9), points)
+    return np.geomspace(1e-8, emax * (1.0 - 1e-9), points)
 
 
 CSV_COLUMNS = ("N", "instance_id", "E", "nand", "abs_y", "abs_T", "bound_y", "bound_T", "pass")

@@ -18,12 +18,7 @@ import math
 
 import numpy as np
 
-from .nand_core import _is_int_type
-
-
-def _check_length(L) -> None:
-    if not _is_int_type(type(L)) or L < 1:
-        raise ValueError(f"packet length L must be an integer >= 1, got {L!r}")
+from .nand_core import _check_int
 
 
 def _dirichlet(L: int, x):
@@ -41,7 +36,7 @@ def packet_spectrum(L: int, phi):
     The removable singularities (phi = 0 for A, |phi| = pi for B) are
     filled with their limits, A(0) = sqrt(L) and B(+-pi) = sqrt(L).
     """
-    _check_length(L)
+    _check_int("packet length L", L, 1)
     phi = np.asarray(phi, dtype=float)
     return _dirichlet(L, phi), np.conj(_dirichlet(L, phi + np.pi))
 
@@ -52,7 +47,7 @@ def band_mass(L: int, lo: float, hi: float) -> float:
     Integrating the Fejer series term by term gives
     (hi - lo + 2 sum_{k=1}^{L-1} (1 - k/L)(sin k hi - sin k lo)/k) / (2 pi).
     """
-    _check_length(L)
+    _check_int("packet length L", L, 1)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"integration bounds must be finite, got [{lo}, {hi}]")
     if hi < lo:
@@ -68,13 +63,13 @@ def parseval_total(L: int) -> float:
 
 
 def tail_mass(L: int, eps: float) -> float:
-    """Packet weight outside the window |phi| < eps; always below pi/(L eps)."""
+    """Packet weight outside |phi| < eps: below pi/(L eps), else ArithmeticError."""
     if not 0.0 < eps < np.pi:
         raise ValueError("eps must lie in (0, pi)")
     tail = band_mass(L, eps, np.pi) + band_mass(L, -np.pi, -eps)
     bound = np.pi / (L * eps)
     if tail >= bound:
-        raise RuntimeError(
+        raise ArithmeticError(
             f"tail mass {tail} violates its analytic bound {bound} (L={L}, eps={eps})"
         )
     return tail

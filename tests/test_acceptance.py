@@ -81,7 +81,7 @@ def test_criterion_2_bound_table(rng):
     violations = 0
     rows = 0
     for n_leaves in (4, 16, 64, 256, 1024):
-        grid = energy_grid(n_leaves, points=64, emin=1e-8)
+        grid = energy_grid(n_leaves, points=64)
         for k in range(32):
             rep = scan_bounds(random_tree(rng, n_leaves), grid, instance_id=k)
             violations += len(rep.violations)

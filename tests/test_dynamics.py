@@ -66,8 +66,22 @@ class TestInitialPacket:
 
     def test_rejects_empty_packet(self):
         H = build_full(parse_input("01"), M=4)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="packet length L must be an integer >= 1"):
             initial_packet(0, 4, H.index_map)
+
+    @pytest.mark.parametrize("L", [8.0, np.float64(8.0), True], ids=repr)
+    def test_rejects_non_integer_length(self, L):
+        # L = 8.0 used to raise IndexError, and L = True made a one-site packet
+        H = build_full(parse_input("01"), M=24)
+        with pytest.raises(ValueError, match="packet length L must be an integer"):
+            initial_packet(L, 24, H.index_map)
+
+    @pytest.mark.parametrize("L, M, map_M", [(8, 24, 4), (4, 12, 24)])
+    def test_rejects_runway_other_than_the_maps(self, L, M, map_M):
+        # the first used to surface as a KeyError, the second went unnoticed
+        H = build_full(parse_input("01"), M=map_M)
+        with pytest.raises(ValueError, match="M="):
+            initial_packet(L, M, H.index_map)
 
 
 class TestExactPropagator:
@@ -195,10 +209,18 @@ class TestChebyshevPropagator:
         # N = 16384, gamma = 16: t = L/2 = 1024
         assert _chebyshev_coefficients(SPECTRAL_RADIUS_BOUND * 1024.0).size == 3042
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, t):
+        # nan used to fail in int() of the Bessel window, inf with an
+        # OverflowError that the CLI would report as a numerical failure
+        H = build_full(parse_input("01"), M=12)
+        with pytest.raises(ValueError, match="t must be finite"):
+            evolve_cheb(H, initial_packet(4, 12, H.index_map), t)
+
     def test_missing_cutoff_is_a_numerical_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(dynamics, "jv", lambda ks, x: np.ones(np.shape(ks)))
         H = build_full(parse_input("01"), M=12)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ArithmeticError):
             evolve_cheb(H, initial_packet(4, 12, H.index_map), 1.0)
         assert cli_main(["run", "--input", "01", "--gamma", "4"]) == 1
         assert "cut-off" in capsys.readouterr().err

@@ -378,6 +378,16 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
 
+    def test_other_exceptions_escape(self, monkeypatch):
+        # only ValueError (exit 2) and ArithmeticError (exit 1) are mapped; a
+        # KeyError from a programming slip used to be reported as a usage error
+        def slip(tree):
+            raise KeyError("missing column")
+
+        monkeypatch.setattr(harness, "eval_nand", slip)
+        with pytest.raises(KeyError, match="missing column"):
+            cli_main(["eval", "--input", "01"])
+
     @pytest.mark.parametrize("command", ["eval", "scatter", "run", "sweep",
                                          "embed-parity", "diagnose"])
     def test_subcommand_help(self, capsys, command):

@@ -42,7 +42,7 @@ class TestIndexMap:
     def test_rejects_runway_site_out_of_range(self):
         imap = NodeIndexMap(2, 3)
         for r in (4, -4):
-            with pytest.raises(KeyError):
+            with pytest.raises(ValueError):
                 imap.runway_indices([0, r])
         bare = NodeIndexMap(None, 3)
         assert bare.dim == 7
@@ -53,6 +53,23 @@ class TestIndexMap:
             NodeIndexMap(2, 0)
         with pytest.raises(ValueError):
             build_runway(0)
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: NodeIndexMap(2.0, 3), "depth"),
+        (lambda: NodeIndexMap(-1, 3), "depth"),
+        (lambda: NodeIndexMap(True, 3), "depth"),
+        (lambda: NodeIndexMap(2, 3.0), "M"),
+        (lambda: build_full(parse_input("0110"), 24.0), "M"),
+        (lambda: build_driver(2.0, 6), "depth"),
+        (lambda: build_driver(2, np.float64(6.0)), "M"),
+        (lambda: build_runway(4.0), "M"),
+        (lambda: build_oracle(parse_input("01"), True), "M"),
+    ])
+    def test_rejects_non_integer_lengths(self, call, name):
+        # NodeIndexMap(2.0, 3).dim used to be 18.0, NodeIndexMap(-1, 3).dim
+        # 7.5, and build_full(tree, 24.0) raised TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
 
     def test_runway_slices(self):
         imap = NodeIndexMap(1, 3)

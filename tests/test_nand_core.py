@@ -99,6 +99,13 @@ class TestTreeInputBits:
     def test_from_bits_converts(self):
         assert TreeInput.from_bits([True, False, 1.0, np.True_]).to_text() == "1011"
 
+    @pytest.mark.parametrize("bits", [[1.5, 0], [0, -0.5], ["1", "0"]],
+                             ids=repr)
+    def test_from_bits_rejects_what_int_would_change(self, bits):
+        # int() used to read 1.5 as 1 and "1" as 1
+        with pytest.raises(ValueError):
+            TreeInput.from_bits(bits)
+
 
 class TestEval:
     def test_two_leaves(self):
@@ -238,6 +245,21 @@ class TestHardQueryLaw:
         with pytest.raises(ValueError):
             call()
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: hard_instance(3.0, 1), "depth"),
+        (lambda: hard_query_law(np.float64(3.0)), "depth"),
+        (lambda: expected_hard_queries(3.0), "depth"),
+        (lambda: hard_query_samples(3.0, 10, 1), "depth"),
+        (lambda: hard_query_samples(3, 10.0, 1), "trials"),
+        (lambda: hard_instance(3, 1, True), "root_value"),
+        (lambda: expected_hard_queries(3, 1.0), "root_value"),
+        (lambda: hard_query_law(3, np.float64(0.0)), "root_value"),
+    ])
+    def test_rejects_non_integer_arguments(self, call, name):
+        # floats used to raise TypeError, and True or 1.0 passed as root 1
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call()
+
 
 class TestParityEmbedding:
     def test_two_variable_captions(self):
@@ -260,6 +282,19 @@ class TestParityEmbedding:
             embed_parity([0, 1, 1])
         with pytest.raises(NonPowerOfTwoError):
             embed_parity([1])
+
+    @pytest.mark.parametrize("call", [lambda: parity_layout(4.0),
+                                      lambda: parity_blocks(np.float64(4.0))])
+    def test_rejects_non_integer_variable_count(self, call):
+        # 4.0 used to raise TypeError from &
+        with pytest.raises(NonPowerOfTwoError, match="variable count 4.0"):
+            call()
+
+    def test_rejects_non_binary_parity_bits(self):
+        # int() used to read 1.5 as 1
+        with pytest.raises(ValueError, match="parity bits"):
+            embed_parity([1.5, 0])
+        assert embed_parity([True, 0.0]) == embed_parity([1, 0])
 
     def test_layout_is_single_variable_per_leaf(self):
         for k in (2, 4, 8):
