@@ -9,24 +9,30 @@ half of the runway decides the instance.
 
 The runtime propagator is a Chebyshev expansion of e^{-iHt} (Tal-Ezer and
 Kosloff 1984) run in real arithmetic.  The walk graph is a forest, hence
-bipartite with classes A and B (NodeIndexMap.sublattice), and on it
-e^{-iHt} (P_A v + i P_B v) = P_A (C + S) v + i P_B (C - S) v for real v,
-with C = cos(Ht) and S = sin(Ht).  One real three-term recurrence
-T_k(H/s) v yields C v (even k) and S v (odd k).  A general state is a
+bipartite with classes A and B (NodeIndexMap.sublattice): with
+D = diag(+1 on A, -1 on B), D H D = -H.  For real v and
+chi(v) = P_A v + i P_B v, e^{-iHt} chi(v) = chi(sum_k e_k J_k(s t) s_k),
+where s = 2 sqrt 2, e_0 = 1, e_k = 2 for k >= 1, and the signed recurrence
+s_0 = v, s_1 = K v / 2, s_{k+1} = K s_k + s_{k-1} runs on the row-signed
+K = D (2H / s).  Each term is one in-place sparse product into the buffer
+of s_{k-1} and one axpy into a single accumulator.  A general state is a
 sum of two such terms, and the initial packet is a single one.  The
 series is truncated at the fixed CHEB_TOL, at an order read off one
-window of Bessel orders.  It is the only propagator run_algorithm uses;
-the dense eigendecomposition propagator (evolve_exact with
-lattice.dense_eig) is the test oracle.
+window of Bessel orders, and the coefficients of the last few evolution
+times are cached.  It is the only propagator run_algorithm uses; the
+dense eigendecomposition propagator (evolve_exact with lattice.dense_eig)
+is the test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.linalg.blas import daxpy
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.special import jv
 
 from .nand_core import TreeInput, _check_int
@@ -74,24 +80,28 @@ def evolve_exact(eig, psi: np.ndarray, t: float) -> np.ndarray:
     return V @ (np.exp(-1j * w * t) * (V.conj().T @ psi))
 
 
+@functools.lru_cache(maxsize=8)
 def _chebyshev_coefficients(x: float) -> np.ndarray:
-    """Real coefficients (2 - d_k0) J_k(x) (1, 1, -1, -1)[k mod 4] of
-    cos(x y) (even k) and sin(x y) (odd k) in T_k(y), kept to 9 orders past
-    the first k > |x| with |J_k(x)| < CHEB_TOL / 100.  That k lies in one
-    window of |x| + 12 |x|^(1/3) + 50 orders: past the turning point, J_k(x)
-    decays like an Airy function of (k - |x|) / |x|^(1/3)."""
+    """Read-only coefficients (2 - d_k0) J_k(x) of the signed recurrence,
+    kept to 9 orders past the first k > |x| with |J_k(x)| < CHEB_TOL / 100.
+    That k lies in one window of |x| + 12 |x|^(1/3) + 50 orders: past the
+    turning point, J_k(x) decays like an Airy function of
+    (k - |x|) / |x|^(1/3).  The last 8 x are cached: a sweep reuses one x
+    per gamma."""
     ks = np.arange(int(abs(x) + 12.0 * abs(x) ** (1.0 / 3.0)) + 50)
     j = jv(ks, x)
     hits = np.nonzero((np.abs(j) < CHEB_TOL / 100.0) & (ks > abs(x)))[0]
     if not hits.size or hits[0] + 9 > ks.size:
         raise ArithmeticError(f"Chebyshev cut-off not found within {ks.size} orders")
     ks = ks[: hits[0] + 9]
-    return (2.0 - (ks == 0)) * np.where(ks % 4 < 2, 1.0, -1.0) * j[: ks.size]
+    c = (2.0 - (ks == 0)) * j[: ks.size]
+    c.flags.writeable = False
+    return c
 
 
 def _check_forest(H: HamiltonianGraph, cls: np.ndarray) -> None:
     """Raise ValueError unless `cls` two-colours H and H is a forest of
-    maximum degree 3 with |entries| <= 1, the premises of the real
+    maximum degree 3 with |entries| <= 1, the premises of the signed
     recurrence and of SPECTRAL_RADIUS_BOUND."""
     # Imported here: csgraph adds ~1 MB and ~20 ms to the package import,
     # which the layers that never propagate need not pay.
@@ -108,35 +118,40 @@ def _check_forest(H: HamiltonianGraph, cls: np.ndarray) -> None:
         raise ValueError(f"walk graph exceeds degree {MAX_DEGREE} or unit edge weight")
 
 
-def _cos_sin(Hs, a: np.ndarray, v: np.ndarray):
-    """(cos(Ht) v, sin(Ht) v) for real v from one recurrence
-    u_k = T_k(H/s) v, with Hs = 2H/s: u_{k+1} = Hs u_k - u_{k-1}."""
-    cos_v = a[0] * v
-    sin_v = np.zeros_like(v)
-    acc = (cos_v, sin_v)
-    prev = v
-    cur = Hs @ v
-    cur *= 0.5
-    daxpy(cur, sin_v, a=a[1])
-    for k in range(2, a.size):
-        nxt = Hs @ cur
-        nxt -= prev
-        prev, cur = cur, nxt
-        daxpy(cur, acc[k & 1], a=a[k])
-    return cos_v, sin_v
+def _csr_matvec_add(indptr, indices, data, *vectors):
+    """Bind scipy's compiled CSR product to the square matrix (data, indices,
+    indptr): the returned kernel(x, y) adds A x to y in place, with no
+    allocation and no dispatch.  ValueError unless both index arrays are
+    int32 and data and each of `vectors` are C-contiguous float64, the
+    vectors of length len(indptr) - 1.  The kernel checks nothing, so it
+    is called only on the vectors checked here: on any other dtype scipy
+    would cast into a copy, and it reads no length."""
+    n = indptr.size - 1
+    if indptr.dtype != np.int32 or indices.dtype != np.int32:
+        raise ValueError("CSR index arrays must be int32")
+    for a in (data, *vectors):
+        if a.dtype != np.float64 or not a.flags.c_contiguous:
+            raise ValueError("CSR data and vectors must be C-contiguous float64")
+    if any(v.shape != (n,) for v in vectors):
+        raise ValueError(f"vectors must have length {n}")
+    return functools.partial(csr_matvec, n, n, indptr, indices, data)
 
 
 def evolve_cheb(H: HamiltonianGraph, psi: np.ndarray, t: float) -> np.ndarray:
     """Polynomial approximation of e^{-iHt} psi in real arithmetic.
 
     Writes psi = chi(v1) + i chi(v2) with chi(v) = P_A v + i P_B v over the
-    sublattice classes, and e^{-iHt} chi(v) = chi((C + sigma S) v) with
-    sigma = +1 on A, -1 on B.  Each nonzero v costs one real Chebyshev
-    recurrence; the initial packet has v2 = 0.  The series uses the
-    spectral radius bound 2 sqrt 2 and is truncated when the Bessel
-    coefficient tail falls below CHEB_TOL; norm drift stays within a small
-    multiple of CHEB_TOL.  ValueError: non-finite t, or a graph outside the
-    bound's premises (_check_forest); ArithmeticError: cut-off not found.
+    sublattice classes, and e^{-iHt} chi(v) = chi(x) with x the sum of
+    (2 - d_k0) J_k(s t) s_k over the signed recurrence s_k on
+    K = D (2H / s) (module docstring).  Each nonzero v costs one
+    recurrence, whose every term is one in-place CSR product and one axpy
+    into x; the initial packet has v2 = 0.  The series uses the spectral
+    radius bound s = 2 sqrt 2 and is truncated when the Bessel coefficient
+    tail falls below CHEB_TOL; norm drift stays within a small multiple of
+    CHEB_TOL.  ValueError: non-finite t, a graph outside the bound's
+    premises (_check_forest, run on every call), or a matrix whose index
+    arrays are not int32 (_csr_matvec_add); ArithmeticError: cut-off not
+    found.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
@@ -146,14 +161,26 @@ def evolve_cheb(H: HamiltonianGraph, psi: np.ndarray, t: float) -> np.ndarray:
     cls = H.index_map.sublattice()
     _check_forest(H, cls)
     on_a = cls == 0
-    a = _chebyshev_coefficients(SPECTRAL_RADIUS_BOUND * t)
-    Hs = H.matrix * (2.0 / SPECTRAL_RADIUS_BOUND)
+    c = _chebyshev_coefficients(SPECTRAL_RADIUS_BOUND * t)
+    m = H.matrix
+    # K = D (2H/s) by rows; each edge joins opposite classes, so the row
+    # sign is minus the column sign
+    signed = m.data * (1.0 - 2.0 * cls)[m.indices] * (-2.0 / SPECTRAL_RADIUS_BOUND)
 
     def propagate(v):
         if not v.any():
             return v
-        cos_v, sin_v = _cos_sin(Hs, a, v)
-        return np.where(on_a, cos_v + sin_v, cos_v - sin_v)
+        x = c[0] * v
+        a, b = v, np.zeros(H.dim)  # s_0 and s_1, overwritten in turn
+        kernel = _csr_matvec_add(m.indptr, m.indices, signed, a, b)
+        kernel(a, b)
+        b *= 0.5
+        daxpy(b, x, a=c[1])
+        for ck in c[2:].tolist():
+            kernel(b, a)  # a: s_{k-2} -> s_k
+            a, b = b, a
+            daxpy(b, x, a=ck)
+        return x
 
     x1 = propagate(np.where(on_a, psi.real, psi.imag))
     x2 = propagate(np.where(on_a, psi.imag, -psi.real))
@@ -200,12 +227,16 @@ class RunConfig:
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of one run: the decision bit, the measured right-side
-    probability, and the analytic transmission probability at band center."""
+    probability, the analytic transmission probability at band center, the
+    configuration echo, and what the propagation did: `stats` holds
+    cheb_terms (Chebyshev terms computed) and norm_drift (|norm - 1| of the
+    evolved state)."""
 
     decision: int
     p_right: float
     analytic_T0_sq: float
     config: dict
+    stats: dict
 
 
 def run_algorithm(tree: TreeInput, config: RunConfig) -> Verdict:
@@ -227,4 +258,7 @@ def run_algorithm(tree: TreeInput, config: RunConfig) -> Verdict:
     decision = 1 if p >= DECISION_THRESHOLD else 0
     echo = {"bits": tree.to_text(), "N": tree.n_leaves, **asdict(config),
             "tolerance": CHEB_TOL, "threshold": DECISION_THRESHOLD, "dim": H.dim}
-    return Verdict(decision=decision, p_right=p, analytic_T0_sq=t0_sq, config=echo)
+    # initial_packet needs one real recurrence: one term per coefficient
+    terms = _chebyshev_coefficients(SPECTRAL_RADIUS_BOUND * config.t_run).size
+    return Verdict(decision=decision, p_right=p, analytic_T0_sq=t0_sq, config=echo,
+                   stats={"cheb_terms": terms, "norm_drift": drift})

@@ -173,6 +173,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_scatter(args) -> int:
     tree = parse_input(args.input)
+    if args.points < 1:  # the empty-grid usage error for both grids, before energy_grid's own
+        raise ValueError("energy grid is empty")
     if args.emax == "auto":
         grid = energy_grid(tree.n_leaves, points=args.points)
     else:

@@ -97,29 +97,39 @@ def build_runway(M: int) -> HamiltonianGraph:
     return _graph_from_edges(NodeIndexMap(None, M), np.arange(2 * M), np.arange(1, 2 * M + 1))
 
 
-def build_driver(depth: int, M: int) -> HamiltonianGraph:
-    """H_D: runway edges (r, r+1), the root on site 0, heap edges p -> 2p+1, 2p+2."""
-    imap = NodeIndexMap(depth, M)
+def _driver_edges(imap: NodeIndexMap):
+    """Runway edges (r, r+1), the root on site 0, heap edges p -> 2p+1, 2p+2."""
+    M = imap.M
     sites = np.arange(2 * M)
     parents = imap.tree_off + np.arange(imap.n_leaves - 1)
     children = 2 * parents - imap.tree_off + 1
-    u = np.concatenate([sites, [M], parents, parents])
-    v = np.concatenate([sites + 1, [imap.tree_off], children, children + 1])
-    return _graph_from_edges(imap, u, v)
+    return (np.concatenate([sites, [M], parents, parents]),
+            np.concatenate([sites + 1, [imap.tree_off], children, children + 1]))
+
+
+def _oracle_edges(imap: NodeIndexMap, tree: TreeInput):
+    """One edge from leaf i to extra i per 1-bit."""
+    ones = np.flatnonzero(np.asarray(tree.bits) == 1)
+    return imap.extras_off - imap.n_leaves + ones, imap.extras_off + ones
+
+
+def build_driver(depth: int, M: int) -> HamiltonianGraph:
+    """H_D: the runway, the root on site 0 and the heap-ordered tree."""
+    imap = NodeIndexMap(depth, M)
+    return _graph_from_edges(imap, *_driver_edges(imap))
 
 
 def build_oracle(tree: TreeInput, M: int) -> HamiltonianGraph:
-    """H_O: one edge from leaf i to extra i per 1-bit, on the full layout."""
+    """H_O: the pendant leaf-extra edges, on the full layout."""
     imap = NodeIndexMap(tree.depth, M)
-    ones = np.flatnonzero(np.asarray(tree.bits) == 1)
-    return _graph_from_edges(imap, imap.extras_off - imap.n_leaves + ones, imap.extras_off + ones)
+    return _graph_from_edges(imap, *_oracle_edges(imap, tree))
 
 
 def build_full(tree: TreeInput, M: int) -> HamiltonianGraph:
-    """H = H_D + H_O."""
-    driver = build_driver(tree.depth, M)
-    return HamiltonianGraph(matrix=driver.matrix + build_oracle(tree, M).matrix,
-                            index_map=driver.index_map)
+    """H = H_D + H_O, built from the two edge lists in one pass."""
+    imap = NodeIndexMap(tree.depth, M)
+    (du, dv), (ou, ov) = _driver_edges(imap), _oracle_edges(imap, tree)
+    return _graph_from_edges(imap, np.concatenate([du, ou]), np.concatenate([dv, ov]))
 
 
 DENSE_EIG_CAP = 4000

@@ -110,8 +110,10 @@ def randomized_eval(tree: TreeInput, seed: int) -> EvalTrace:
     At every internal node a uniformly random child is evaluated first;
     if it is 0 the node is 1 without touching the sibling, otherwise the
     sibling is evaluated and negated.  The returned value always equals
-    eval_nand(tree); only the query count is random.
+    eval_nand(tree); only the query count is random.  ValueError unless
+    seed is an integer >= 0.
     """
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     bits = tree.bits
     depth = tree.depth
@@ -155,6 +157,7 @@ def _check_hard_args(depth: int, root_value: int) -> None:
 def hard_instance(depth: int, seed: int, root_value: int = 1) -> TreeInput:
     """Draw one instance from the adversarial distribution."""
     _check_hard_args(depth, root_value)
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     level = np.array([root_value], dtype=np.int8)
     for _ in range(depth):
@@ -196,6 +199,7 @@ def hard_query_samples(depth: int, trials: int, seed: int, root_value: int = 1) 
     """Query counts of randomized_eval over `trials` fresh adversarial
     instances: i.i.d. int64 draws from hard_query_law by inverse CDF."""
     _check_int("trials", trials, 0)
+    _check_int("seed", seed, 0)
     cdf = np.cumsum(hard_query_law(depth, root_value))
     u = np.random.default_rng(seed).random(trials)
     return np.searchsorted(cdf, u * cdf[-1], side="right").astype(np.int64)

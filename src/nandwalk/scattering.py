@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nand_core import TreeInput, eval_nand
+from .nand_core import TreeInput, _check_int, eval_nand
 from .spectral import packet_spectrum
 
 
@@ -204,13 +204,14 @@ def y_at_zero(tree: TreeInput) -> SymbolicY:
 
 
 def transmission(E, y: ProjectiveValue):
-    """Transmission and reflection amplitudes for |E| < 2.
+    """Transmission and reflection amplitudes for |E| < 2; ValueError for
+    any other E, NaN included.
 
     T = 2 i sin(theta) q / (2 i sin(theta) q + p) for y = p/q, which stays
     finite through poles of y; R = T - 1 always.
     """
     E = np.asarray(E, dtype=float)
-    if np.any(np.abs(E) >= 2.0):
+    if not np.all(np.abs(E) < 2.0):
         raise ValueError("|E| must be < 2 (propagating band)")
     sin_theta = np.sqrt(1.0 - E * E / 4.0)
     p = np.asarray(y.num)
@@ -271,7 +272,11 @@ def predict_p_right(tree: TreeInput, config):
 
 
 def energy_grid(n_leaves: int, points: int = 64) -> np.ndarray:
-    """Log-spaced energies from 1e-8 to just below 1/(16 sqrt(N)), the validity window's edge."""
+    """Log-spaced energies from 1e-8 to just below 1/(16 sqrt(N)), the validity window's edge.
+
+    ValueError unless n_leaves and points are integers >= 1."""
+    _check_int("n_leaves", n_leaves, 1)
+    _check_int("points", points, 1)
     emax = 1.0 / (16.0 * math.sqrt(n_leaves))
     return np.geomspace(1e-8, emax * (1.0 - 1e-9), points)
 

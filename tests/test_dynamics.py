@@ -11,7 +11,9 @@ import nandwalk.dynamics as dynamics
 from nandwalk import (
     HamiltonianGraph,
     RunConfig,
+    build_driver,
     build_full,
+    build_oracle,
     build_runway,
     cli_main,
     dense_eig,
@@ -23,7 +25,12 @@ from nandwalk import (
     prob_right,
     run_algorithm,
 )
-from nandwalk.dynamics import CHEB_TOL, SPECTRAL_RADIUS_BOUND, _chebyshev_coefficients
+from nandwalk.dynamics import (
+    CHEB_TOL,
+    SPECTRAL_RADIUS_BOUND,
+    _chebyshev_coefficients,
+    _csr_matvec_add,
+)
 from conftest import random_tree
 
 
@@ -202,7 +209,7 @@ class TestChebyshevPropagator:
             cut = tail[np.abs(jv(tail, x)) < CHEB_TOL / 100.0][0]
             assert a.size == cut + 9
             ks = np.unique(np.r_[0:a.size:max(1, a.size // 2000), a.size - 9:a.size])
-            ref = (2.0 - (ks == 0)) * np.where(ks % 4 < 2, 1.0, -1.0) * jv(ks, x)
+            ref = (2.0 - (ks == 0)) * jv(ks, x)
             assert a[ks].tobytes() == ref.tobytes()
 
     def test_decide_large_term_count(self):
@@ -218,12 +225,93 @@ class TestChebyshevPropagator:
             evolve_cheb(H, initial_packet(4, 12, H.index_map), t)
 
     def test_missing_cutoff_is_a_numerical_failure(self, monkeypatch, capsys):
+        _chebyshev_coefficients.cache_clear()  # else a cached t skips jv
         monkeypatch.setattr(dynamics, "jv", lambda ks, x: np.ones(np.shape(ks)))
         H = build_full(parse_input("01"), M=12)
         with pytest.raises(ArithmeticError):
             evolve_cheb(H, initial_packet(4, 12, H.index_map), 1.0)
         assert cli_main(["run", "--input", "01", "--gamma", "4"]) == 1
         assert "cut-off" in capsys.readouterr().err
+
+    def test_two_recurrences_agree_with_exact(self, rng):
+        t = random_tree(rng, 8)
+        H = build_full(t, M=30)
+        psi = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
+        psi /= np.linalg.norm(psi)
+        a = evolve_cheb(H, psi, 21.0)
+        b = evolve_exact(dense_eig(H), psi, 21.0)
+        assert np.linalg.norm(a - b) <= 1e-10
+
+    def test_cached_coefficients_read_only_and_bitwise(self):
+        x = SPECTRAL_RADIUS_BOUND * 37.5
+        cached = _chebyshev_coefficients(x)
+        assert _chebyshev_coefficients(x) is cached
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+        _chebyshev_coefficients.cache_clear()
+        fresh = _chebyshev_coefficients(x)
+        assert fresh is not cached
+        assert fresh.tobytes() == cached.tobytes()
+
+    def test_forest_checked_with_cached_coefficients(self):
+        H = build_runway(6)
+        psi = initial_packet(4, 6, H.index_map)
+        evolve_cheb(H, psi, 2.5)
+        m = H.matrix.tolil()
+        m[0, 3] = m[3, 0] = -1.0
+        looped = HamiltonianGraph(matrix=m.tocsr(), index_map=H.index_map)
+        with pytest.raises(ValueError, match="forest"):
+            evolve_cheb(looped, psi, 2.5)
+
+    def test_one_product_and_one_axpy_per_term(self, monkeypatch):
+        # the packet runs one recurrence: s_1 and every later term cost one
+        # kernel call and one daxpy each, and s_0 = v costs neither
+        calls = {"kernel": 0, "daxpy": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(dynamics, "csr_matvec", counted("kernel", dynamics.csr_matvec))
+        monkeypatch.setattr(dynamics, "daxpy", counted("daxpy", dynamics.daxpy))
+        cfg = RunConfig.for_tree(16, gamma=4.0)
+        verdict = run_algorithm(parse_input("0110100110010110"), cfg)
+        terms = _chebyshev_coefficients(SPECTRAL_RADIUS_BOUND * cfg.t_run).size
+        assert verdict.stats["cheb_terms"] == terms
+        assert calls == {"kernel": terms - 1, "daxpy": terms - 1}
+
+
+class TestMatvecKernel:
+    @pytest.mark.parametrize("build", [
+        lambda: build_runway(7),
+        lambda: build_driver(3, 7),
+        lambda: build_oracle(parse_input("01101101"), 7),
+        lambda: build_full(parse_input("01101101"), 7),
+    ], ids=["runway", "driver", "oracle", "full"])
+    def test_matches_scipy_product(self, build, rng):
+        Hs = build().matrix * (2.0 / SPECTRAL_RADIUS_BOUND)
+        x, y0 = rng.normal(size=Hs.shape[0]), rng.normal(size=Hs.shape[0])
+        y, z = y0.copy(), np.zeros(Hs.shape[0])
+        kernel = _csr_matvec_add(Hs.indptr, Hs.indices, Hs.data, x, y, z)
+        kernel(x, z)
+        assert z.tobytes() == (Hs @ x).tobytes()
+        kernel(x, y)
+        assert np.allclose(y, y0 + Hs @ x, rtol=0.0, atol=1e-15)
+
+    def test_rejects_other_dtypes_and_layouts(self):
+        m = build_runway(5).matrix
+        v = np.zeros(m.shape[0])
+        with pytest.raises(ValueError, match="int32"):
+            _csr_matvec_add(m.indptr.astype(np.int64), m.indices.astype(np.int64), m.data, v)
+        with pytest.raises(ValueError, match="float64"):
+            _csr_matvec_add(m.indptr, m.indices, m.data.astype(np.float32), v)
+        with pytest.raises(ValueError, match="float64"):
+            _csr_matvec_add(m.indptr, m.indices, m.data, np.zeros(2 * m.shape[0])[::2])
+        with pytest.raises(ValueError, match="length"):
+            _csr_matvec_add(m.indptr, m.indices, m.data, np.zeros(m.shape[0] + 1))
 
 
 class TestProbRight:
@@ -308,6 +396,18 @@ class TestRunAlgorithm:
         obj = json.loads(json.dumps(asdict(v), sort_keys=True))
         assert obj["decision"] == v.decision
         assert obj["config"]["bits"] == "0110"
+        assert set(obj["stats"]) == {"cheb_terms", "norm_drift"}
+
+    def test_stats_report_terms_and_drift(self):
+        tree, cfg = parse_input("0110"), RunConfig.for_tree(4, gamma=8.0)
+        v = run_algorithm(tree, cfg)
+        H = build_full(tree, cfg.M)
+        psi = evolve_cheb(H, initial_packet(cfg.L, cfg.M, H.index_map), cfg.t_run)
+        assert v.stats == {
+            "cheb_terms": _chebyshev_coefficients(SPECTRAL_RADIUS_BOUND * cfg.t_run).size,
+            "norm_drift": abs(float(np.linalg.norm(psi)) - 1.0),
+        }
+        assert v.stats["norm_drift"] <= 1e-12
 
     def test_error_shrinks_with_gamma(self):
         for bits in ("0011", "0110"):

@@ -11,6 +11,9 @@ __init__.py is skipped (its imports are re-exports), and so are
 Every raise names ValueError (an argument the code cannot use),
 ArithmeticError (a numerical failure) or a package class derived from one,
 and cli_main's handlers map exactly those two to exit codes 2 and 1.
+
+scipy's private sparsetools module is imported by dynamics.py alone, so
+the dependency stays behind the one kernel wrapper there.
 """
 
 import ast
@@ -21,6 +24,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "nandwalk"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 FAILURE_CLASSES = frozenset({"ValueError", "ArithmeticError"})
+SPARSETOOLS = "scipy.sparse._sparsetools"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -86,6 +90,21 @@ def cli_handlers(source: str) -> list[tuple[str, list[str]]]:
     return [(ast.unparse(t.body[0]),
              [ast.unparse(h.type) if h.type else "bare except" for h in t.handlers])
             for t in ast.walk(main) if isinstance(t, ast.Try)]
+
+
+def imports_of(source: str, module: str) -> list[int]:
+    """Lines anywhere in the source that import `module` or a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == module or n.startswith(module + ".") for n in names):
+            found.append(node.lineno)
+    return found
 
 
 def test_modules_found():
@@ -162,3 +181,21 @@ def test_detects_foreign_raise():
     )
     assert handlers == [("a = p(argv)", ["SystemExit"]),
                         ("return a()", ["(ValueError, KeyError)", "bare except"])]
+
+
+def test_sparsetools_only_in_dynamics():
+    importers = {p.name for p in SRC.glob("*.py")
+                 if imports_of(p.read_text(encoding="utf-8"), SPARSETOOLS)}
+    assert importers == {"dynamics.py"}
+
+
+def test_detects_sparsetools_import():
+    source = (
+        "import scipy.sparse as sp\n"
+        "from scipy.sparse import _sparsetools\n"
+        "from scipy.sparse._sparsetools import csr_matvec as mv\n"
+        "import scipy.sparse._sparsetools\n"
+        "from scipy.sparse import _sparsetools_extra\n"
+        "def f():\n    from scipy.sparse import linalg, _sparsetools\n"
+    )
+    assert imports_of(source, SPARSETOOLS) == [2, 3, 4, 7]

@@ -156,6 +156,16 @@ class TestBuildFull:
             assert upper_edges(full) == upper_edges(driver) | upper_edges(oracle)
             assert (full.matrix != driver.matrix + oracle.matrix).nnz == 0
 
+    def test_one_pass_equals_driver_plus_oracle_bytewise(self, rng):
+        for depth in (1, 2, 5, 9, 14):
+            t = random_tree(rng, 2 ** depth)
+            M = 3 * max(4, round(16 * 2 ** (depth / 2)))
+            one_pass = build_full(t, M).matrix
+            summed = build_driver(depth, M).matrix + build_oracle(t, M).matrix
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(one_pass, name), getattr(summed, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (depth, name)
+
     def test_degree_census(self, rng):
         t = random_tree(rng, 8)
         H = build_full(t, M=4)

@@ -254,6 +254,9 @@ class TestHardQueryLaw:
         (lambda: hard_instance(3, 1, True), "root_value"),
         (lambda: expected_hard_queries(3, 1.0), "root_value"),
         (lambda: hard_query_law(3, np.float64(0.0)), "root_value"),
+        (lambda: hard_instance(3, 1.0), "seed"),
+        (lambda: hard_query_samples(3, 10, np.float64(2.0)), "seed"),
+        (lambda: randomized_eval(parse_input("0110"), 1.5), "seed"),
     ])
     def test_rejects_non_integer_arguments(self, call, name):
         # floats used to raise TypeError, and True or 1.0 passed as root 1

@@ -415,6 +415,12 @@ class TestTransmission:
         with pytest.raises(ValueError):
             transmission(2.0, ProjectiveValue(0.0, 1.0))
 
+    @pytest.mark.parametrize("E", [math.nan, [0.1, math.nan]], ids=["scalar", "array"])
+    def test_rejects_nan_energy(self, E):
+        # NaN used to pass the band check and return T = nan
+        with pytest.raises(ValueError, match="propagating band"):
+            transmission(E, y_bottom(parse_input("0110"), 0.1))
+
 
 class TestPredictPRight:
     @pytest.mark.parametrize("gamma", [4.0, 16.0])
@@ -560,6 +566,15 @@ class TestScanBounds:
 
 
 class TestEnergyGrid:
+    @pytest.mark.parametrize("n_leaves, points, name", [
+        (0, 64, "n_leaves"), (4.0, 64, "n_leaves"), (4, 0, "points"), (4, 2.5, "points"),
+    ])
+    def test_rejects_non_integer_or_empty(self, n_leaves, points, name):
+        # 0 leaves used to raise ZeroDivisionError, 2.5 points TypeError,
+        # and 0 points gave an empty grid
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+            energy_grid(n_leaves, points=points)
+
     def test_inside_window(self):
         g = energy_grid(1024, points=64)
         assert g.size == 64
