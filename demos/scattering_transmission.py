@@ -4,7 +4,8 @@
 Every tree edge carries Y(E) = (amplitude above)/(amplitude below) in an
 energy eigenstate.  Folding Y down the tree gives y(E) on the root edge,
 which sets the transmission amplitude T(E).  At band center the fold is
-literally a NAND gate, so |T(0)|^2 equals the tree's logical value.
+literally a NAND gate, so |T(0)|^2 equals the tree's logical value; the
+numeric fold at E = 0 exactly, where two pole children give 0, agrees.
 """
 
 import numpy as np
@@ -27,7 +28,10 @@ for bits in ("11", "00", "01", "0110", "0011"):
     tree = parse_input(bits)
     tag = y_at_zero(tree)
     t0 = 1 if tag is SymbolicY.ZERO else 0
-    print(f"  {bits:>6s}: value={eval_nand(tree)}  y(0+) {tag.value:>4s}  => |T(0)|^2 = {t0}")
+    y0 = y_bottom(tree, 0.0)  # the numeric fold at E = 0 exactly
+    fold = "pole" if y0.den == 0.0 else f"{float(y0.ratio):g}"
+    print(f"  {bits:>6s}: value={eval_nand(tree)}  y(0+) {tag.value:>4s}  y(0) {fold:>4s}"
+          f"  => |T(0)|^2 = {t0}")
 
 print()
 print("=" * 66)

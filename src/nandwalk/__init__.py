@@ -25,7 +25,6 @@ from .nand_core import (
 )
 from .scattering import (
     BoundReport,
-    DegenerateRecursionError,
     ProjectiveValue,
     SymbolicY,
     combine_y,

@@ -37,6 +37,7 @@ import numpy as np
 from . import __version__
 from .nand_core import (
     TreeInput,
+    _check_int,
     embed_parity,
     eval_nand,
     parity_blocks,
@@ -240,10 +241,13 @@ def sweep(n_leaves: int, gammas, instances: int, seed: int):
     Rows are ordered by (instance, gamma) grid index regardless of worker
     scheduling; instances are drawn once from the seed.
     """
+    _check_int("instances", instances, -math.inf)  # below 1 is the empty grid
     if not gammas or instances < 1:
         raise ValueError("sweep grid is empty")
     if len({float(g) for g in gammas}) < len(gammas):
         raise ValueError(f"sweep gamma values repeat: {list(gammas)}")
+    _check_int("n_leaves", n_leaves, 0)
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     bit_sets = [tuple(int(b) for b in rng.integers(0, 2, n_leaves)) for _ in range(instances)]
     tasks = [(inst_id, bits, float(gamma))

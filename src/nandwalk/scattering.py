@@ -17,7 +17,10 @@ As E -> 0+ the recursion degenerates to {0, -infinity} and is exactly a
 NAND gate (0 <-> logical 1, pole <-> logical 0), so T(0) is 1 when the
 tree evaluates to 1 and 0 when it evaluates to 0.  Y is stored as a
 projective (num, den) pair so poles are ordinary data and the recursion
-never divides by zero.
+never divides by zero.  The fold is total: two pole children give
+Y = -1/(E + infinity) = 0 at every E, E = 0 included (dY/dE > 0 between
+poles, so a subtree's residues share one sign and never cancel).  Only
+(0, 0) is no projective value: a ValueError in combine_y and transmission.
 
 Subtrees that are equal up to swapping children have equal Y, so y_bottom
 folds once per subtree type: a table labels the leaves by bit and each
@@ -54,10 +57,6 @@ from .nand_core import TreeInput, _check_int, eval_nand
 from .spectral import packet_spectrum
 
 
-class DegenerateRecursionError(ArithmeticError):
-    """Both projective components vanished (exact double-pole cancellation)."""
-
-
 @dataclass(frozen=True, eq=False)
 class ProjectiveValue:
     """Y = num / den with poles represented as den = 0.
@@ -68,12 +67,6 @@ class ProjectiveValue:
 
     num: object
     den: object
-
-    @property
-    def magnitude(self):
-        """|Y|, with +inf at poles."""
-        with np.errstate(divide="ignore"):
-            return np.abs(np.asarray(self.num)) / np.abs(np.asarray(self.den))
 
     @property
     def ratio(self):
@@ -106,8 +99,9 @@ def combine_y(y1: ProjectiveValue, y2: ProjectiveValue, E) -> ProjectiveValue:
     (-q1 q2) / (E q1 q2 + (p1 q2 + p2 q1)), renormalized to
     max(|num|, |den|) = 1.  IEEE addition and multiplication commute, so
     this grouping is bitwise symmetric in y1 and y2, which the unordered
-    type table of y_bottom relies on.  Raises DegenerateRecursionError when
-    both components vanish.
+    type table of y_bottom relies on.  The fold is total: where both
+    children are poles (q1 = q2 = 0, so the scale is 0) it returns
+    (0, 1), Y = 0.  ValueError if either argument is (0, 0).
     """
     p1, q1, p2, q2 = (np.asarray(v, dtype=float) for v in (y1.num, y1.den, y2.num, y2.den))
     E = np.asarray(E, dtype=float)
@@ -121,7 +115,10 @@ def combine_y(y1: ProjectiveValue, y2: ProjectiveValue, E) -> ProjectiveValue:
     den += tmp
     np.maximum(np.abs(qq, out=tmp), np.abs(den, out=scale), out=scale)
     if not scale.all():
-        raise DegenerateRecursionError("projective recursion produced (0, 0)")
+        if np.any(((p1 == 0) & (q1 == 0)) | ((p2 == 0) & (q2 == 0))):
+            raise ValueError("(0, 0) is not a projective value")
+        poles = scale == 0  # two poles: Y = -1/(E + inf), made (0.0, 1.0) below
+        qq[poles], den[poles], scale[poles] = -0.0, 1.0, 1.0
     # -(qq / scale) is bitwise (-qq) / scale
     np.negative(np.divide(qq, scale, out=qq), out=qq)
     den /= scale
@@ -208,7 +205,7 @@ def transmission(E, y: ProjectiveValue):
     any other E, NaN included.
 
     T = 2 i sin(theta) q / (2 i sin(theta) q + p) for y = p/q, which stays
-    finite through poles of y; R = T - 1 always.
+    finite through poles of y; R = T - 1 always; ValueError for y = (0, 0).
     """
     E = np.asarray(E, dtype=float)
     if not np.all(np.abs(E) < 2.0):
@@ -218,7 +215,7 @@ def transmission(E, y: ProjectiveValue):
     q = np.asarray(y.den)
     denom = 2j * sin_theta * q + p
     if np.any(denom == 0):
-        raise ArithmeticError("transmission denominator vanished for real y")
+        raise ValueError("(0, 0) is not a projective value")
     T = 2j * sin_theta * q / denom
     return T, T - 1.0
 
@@ -322,7 +319,7 @@ def scan_bounds(tree: TreeInput, grid, instance_id: int = 0) -> BoundReport:
         raise ValueError(f"grid energies must lie in (0, {emax})")
     nand = eval_nand(tree)
     y = y_bottom(tree, grid)
-    abs_y = y.magnitude
+    abs_y = np.abs(y.ratio)
     T, _ = transmission(grid, y)
     abs_T = np.hypot(T.real, T.imag)
     if nand == 0:

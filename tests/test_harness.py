@@ -164,6 +164,28 @@ class TestSweep:
         assert code == 2
         assert "empty" in err
 
+    @pytest.mark.parametrize("args, name", [
+        ((16.0, [4.0], 1, 0), "n_leaves"), ((16, [4.0], 1.5, 0), "instances"),
+        ((16, [4.0], 1, 1.5), "seed"), ((16, [4.0], True, 0), "instances"),
+    ], ids=["float_n", "float_instances", "float_seed", "bool_instances"])
+    def test_rejects_non_integer_arguments(self, args, name):
+        # the floats used to raise TypeError, and True ran as one instance
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            sweep(*args)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--n", "4", "--instances", "-1"), "sweep grid is empty"),
+        (("--n", "0", "--instances", "1"), "instance length 0 is not a power of two"),
+        (("--n", "6", "--instances", "1"), "instance length 6 is not a power of two"),
+        (("--n", "-1", "--instances", "1"), "n_leaves must be an integer >= 0, got -1"),
+        (("--n", "4", "--instances", "1", "--seed", "-1"), "seed must be an integer >= 0, got -1"),
+    ], ids=["instances_-1", "n_0", "n_6", "n_-1", "seed_-1"])
+    def test_integer_usage_errors(self, capsys, argv, message):
+        # n = -1 and seed = -1 used to print numpy's own messages
+        code, out, err = run_cli(capsys, "sweep", "--gamma", "8", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
     def test_repeated_gamma_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--n", "4", "--gamma", "16", "16",
                                  "--instances", "1")

@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from nandwalk import (
-    DegenerateRecursionError,
     ProjectiveValue,
     RunConfig,
     SymbolicY,
@@ -114,14 +113,38 @@ class TestCombineY:
             out = combine_y(y1, y2, 0.3)
             assert max(abs(float(out.num)), abs(float(out.den))) == pytest.approx(1.0)
 
-    def test_degenerate_raises(self):
-        # opposite-sign poles cancel exactly; never produced by leaf values
-        with pytest.raises(DegenerateRecursionError):
-            combine_y(ProjectiveValue(1.0, 0.0), ProjectiveValue(-1.0, 0.0), 0.0)
+    def test_two_poles_fold_to_zero(self):
+        # Y = -1/(E + inf) = 0; (1, 0) and (-1, 0) are one projective point
+        for p1, p2 in ((1.0, -1.0), (-1.0, -1.0), (1.0, 1.0), (-0.5, 1.0)):
+            for E in (0.0, 0.7, -2.5):
+                out = combine_y(ProjectiveValue(p1, 0.0), ProjectiveValue(p2, 0.0), E)
+                assert same_bits(out.num, 0.0) and same_bits(out.den, 1.0)
+        # in a grid only the pole pairs change; the rest is the elementwise fold
+        p1, q1 = np.array([1.0, -1.0, 0.25]), np.array([0.0, 0.0, 1.0])
+        p2, q2 = np.array([-1.0, 1.0, 1.0]), np.array([0.0, 0.5, 0.0])
+        E = np.array([0.0, 0.3, 0.3])
+        out = combine_y(ProjectiveValue(p1, q1), ProjectiveValue(p2, q2), E)
+        assert same_bits(out.num[0], 0.0) and same_bits(out.den[0], 1.0)
+        for i in (1, 2):
+            one = combine_y(ProjectiveValue(p1[i], q1[i]), ProjectiveValue(p2[i], q2[i]), E[i])
+            assert same_bits(out.num[i], one.num) and same_bits(out.den[i], one.den)
+
+    @pytest.mark.parametrize("zero_zero", [ProjectiveValue(0.0, 0.0),
+                                           ProjectiveValue(np.array([1.0, 0.0]), np.zeros(2))],
+                             ids=["scalar", "in_grid"])
+    def test_zero_zero_argument_is_value_error(self, zero_zero):
+        # (0, 0) is no projective value; a pole partner puts it on the pole-pair branch
+        for other in (ProjectiveValue(1.0, 0.5), ProjectiveValue(-1.0, 0.0)):
+            for a, b in ((zero_zero, other), (other, zero_zero)):
+                with pytest.raises(ValueError, match="projective value"):
+                    combine_y(a, b, 0.3)
+        with pytest.raises(ValueError, match="projective value"):
+            transmission(0.3, zero_zero)
 
     def test_symmetric_bitwise(self):
         # 10^5 random pairs, a fifth of them poles (den = 0) and a fifth
-        # zeros (num = 0) on either side, over 30 decades of magnitude
+        # zeros (num = 0) on either side, over 30 decades of magnitude;
+        # a twenty-fifth are pole pairs, which fold to (0, 1)
         rng = np.random.default_rng(71)
         n = 100_000
 
@@ -133,7 +156,6 @@ class TestCombineY:
 
         p1, q1 = draw()
         p2, q2 = draw()
-        q2[(q1 == 0.0) & (q2 == 0.0)] = 1.0  # two poles make (0, 0)
         E = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(-1.9, 1.9, n))
         inputs = [p1, q1, p2, q2, E]
         saved = [a.copy() for a in inputs]
@@ -141,6 +163,8 @@ class TestCombineY:
         ab, ba = combine_y(y1, y2, E), combine_y(y2, y1, E)
         assert same_bits(ab.num, ba.num) and same_bits(ab.den, ba.den)
         assert np.any(ab.den == 0.0) and np.any(ab.num == 0.0)
+        pairs = (q1 == 0.0) & (q2 == 0.0)
+        assert pairs.any() and np.all(ab.num[pairs] == 0.0) and np.all(ab.den[pairs] == 1.0)
         assert all(same_bits(a, b) for a, b in zip(inputs, saved))
         # the check has teeth: (E q1 q2 + p1 q2) + p2 q1 is not symmetric
         left = E * (q1 * q2) + p1 * q2 + p2 * q1
@@ -200,7 +224,7 @@ class TestYBottom:
         t = parse_input("0110")
         assert eval_nand(t) == 0
         y = y_bottom(t, 1e-4)
-        assert float(y.magnitude) > 1.0 / (4.0 * 2.0 * 1e-4)  # > 1250
+        assert abs(float(y.ratio)) > 1.0 / (4.0 * 2.0 * 1e-4)  # > 1250
 
     def test_chunked_fold_matches_scalar_folds_bitwise(self, monkeypatch):
         # three full chunks plus a remainder; the fold is elementwise in E.
@@ -324,9 +348,16 @@ class TestSubtreeDedup:
         calls = fold_calls(monkeypatch, hard_instance(depth, 5 * depth + root, root), 0.3)
         assert len(calls) == depth and max(r for r, _ in calls) <= 2
 
-    def test_degenerate_still_raises(self):
-        with pytest.raises(DegenerateRecursionError):
-            y_bottom(parse_input("0011"), [0.5, 0.0])
+    def test_pole_pair_in_grid(self):
+        # at E = 0 the bare pair "00" is a pole pair and folds to 0; the
+        # root then joins that 0 with the pole of "11" and is 0 too
+        y = y_bottom(parse_input("0011"), [0.5, 0.0])
+        num, den = plain_fold((0, 0, 1, 1), [0.5, 0.0])
+        assert same_bits(y.num, num) and same_bits(y.den, den)
+        E = 0.5
+        oracle = -1.0 / (E - 1.0 / (E - 2.0 / E) - 1.0 / (E + 2.0 * E / (1.0 - E * E)))
+        assert y.ratio[0] == pytest.approx(oracle, rel=1e-14)
+        assert y.num[1] == 0.0 and y.den[1] != 0.0
 
     def test_rejects_two_dimensional_energies(self):
         # the chunked fold slices the first axis, which must be energies
@@ -374,11 +405,59 @@ class TestYAtZero:
         for n_leaves in (16, 64, 256):
             for _ in range(64):
                 t = random_tree(rng, n_leaves)
-                mag = float(y_bottom(t, 1e-9).magnitude)
+                mag = abs(float(y_bottom(t, 1e-9).ratio))
                 if y_at_zero(t) is SymbolicY.ZERO:
                     assert mag < 1.0
                 else:
                     assert mag > 1.0
+
+
+def band_center_trees():
+    """Every tree at N = 2 and 4, 16 random trees at each N = 8 ... 4096,
+    and hard_instance trees of both root values at depths 1 ... 12."""
+    for n_leaves in (2, 4):
+        for bits in itertools.product((0, 1), repeat=n_leaves):
+            yield TreeInput.from_bits(bits)
+    rng = np.random.default_rng(43)
+    for depth in range(3, 13):
+        for _ in range(16):
+            yield random_tree(rng, 2**depth)
+    for depth in range(1, 13):
+        for root in (0, 1):
+            yield hard_instance(depth, 3 * depth + root, root)
+
+
+class TestBandCenter:
+    """y_bottom at E = 0 exactly: a third layer of criterion 1's claim,
+    beside eval_nand and y_at_zero, kept out of its timed loop."""
+
+    def test_fold_at_zero_is_the_nand_value(self):
+        checked = 0
+        for tree in band_center_trees():
+            y = y_bottom(tree, 0.0)
+            assert max(abs(y.num), abs(y.den)) == 1.0
+            if eval_nand(tree) == 0:
+                assert y.den == 0.0 and y_at_zero(tree) is SymbolicY.POLE
+            else:
+                assert y.num == 0.0 and y_at_zero(tree) is SymbolicY.ZERO
+            checked += 1
+        assert checked == 2**2 + 2**4 + 10 * 16 + 12 * 2
+
+    @pytest.mark.parametrize("bits, E, want", [
+        ("11", 1.0, 0.0), ("11", -1.0, 0.0), ("1111", 1.0, -1.0), ("1111", -1.0, 1.0),
+        ("0011", 0.0, 0.0),
+    ])
+    def test_pole_pair_energies(self, bits, E, want):
+        # each fold meets two pole children at this energy
+        assert float(y_bottom(parse_input(bits), E).ratio) == want
+
+    @pytest.mark.parametrize("bits, E, want", [
+        ("11", 1.0 + 1e-9, 1e-9), ("11", -1.0 - 1e-9, -1e-9), ("1111", 1.0 + 1e-9, -1.0),
+        ("1111", -1.0 - 1e-9, 1.0), ("0011", 1e-9, 3e-9), ("0011", -1e-9, -3e-9),
+    ])
+    def test_continuous_just_off_the_pole_pairs(self, bits, E, want):
+        # the float 1 + 1e-9 lies 1e-9 above 1 only to a relative 1e-7
+        assert float(y_bottom(parse_input(bits), E).ratio) == pytest.approx(want, rel=1e-6)
 
 
 class TestTransmission:
