@@ -102,7 +102,9 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
 def _check_forest(H: HamiltonianGraph, cls: np.ndarray) -> None:
     """Raise ValueError unless `cls` two-colours H and H is a forest of
     maximum degree 3 with |entries| <= 1, the premises of the signed
-    recurrence and of SPECTRAL_RADIUS_BOUND."""
+    recurrence and of SPECTRAL_RADIUS_BOUND.  The check reads the stored
+    pattern: an explicit 0 counts as an edge, so it holds for the graph
+    with every stored slot attached, which implies it for each subgraph."""
     # Imported here: csgraph adds ~1 MB and ~20 ms to the package import,
     # which the layers that never propagate need not pay.
     from scipy.sparse.csgraph import connected_components
@@ -229,8 +231,9 @@ class Verdict:
     """Outcome of one run: the decision bit, the measured right-side
     probability, the analytic transmission probability at band center, the
     configuration echo, and what the propagation did: `stats` holds
-    cheb_terms (Chebyshev terms computed) and norm_drift (|norm - 1| of the
-    evolved state)."""
+    cheb_terms (Chebyshev terms computed), nnz (stored matrix entries each
+    term reads, the same for every tree of one N and M) and norm_drift
+    (|norm - 1| of the evolved state)."""
 
     decision: int
     p_right: float
@@ -261,4 +264,4 @@ def run_algorithm(tree: TreeInput, config: RunConfig) -> Verdict:
     # initial_packet needs one real recurrence: one term per coefficient
     terms = _chebyshev_coefficients(SPECTRAL_RADIUS_BOUND * config.t_run).size
     return Verdict(decision=decision, p_right=p, analytic_T0_sq=t0_sq, config=echo,
-                   stats={"cheb_terms": terms, "norm_drift": drift})
+                   stats={"cheb_terms": terms, "nnz": H.matrix.nnz, "norm_drift": drift})

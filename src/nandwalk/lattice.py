@@ -6,12 +6,15 @@ binary tree of depth n whose root hangs off runway site 0, and one pendant
 graph lives on one node layout (NodeIndexMap), addressed by closed-form
 index ranges: nodes carry no labels.  The driver H_D is the
 instance-independent part (runway + tree), the oracle H_O the pendant
-edges, and the full Hamiltonian is H = H_D + H_O, entrywise.  All entries
-are exactly -1 off the diagonal and 0 on it.
+edges, and the full Hamiltonian is H = H_D + H_O, entrywise.  Every edge
+is -1 and the diagonal is 0.  build_full also stores every empty pendant
+slot as an explicit 0, so its sparsity pattern is a function of the
+layout alone, shared by every tree of one (depth, M).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,11 +128,38 @@ def build_oracle(tree: TreeInput, M: int) -> HamiltonianGraph:
     return _graph_from_edges(imap, *_oracle_edges(imap, tree))
 
 
+@functools.lru_cache(maxsize=8)
+def _full_pattern(depth: int, M: int):
+    """Read-only (indptr, indices) of the all-ones tree, H_D plus every
+    leaf-extra slot: the pattern every tree of the layout shares.  The
+    last 8 layouts are cached (a sweep uses one M per gamma)."""
+    imap = NodeIndexMap(depth, M)
+    ones = TreeInput((1,) * imap.n_leaves)
+    (du, dv), (ou, ov) = _driver_edges(imap), _oracle_edges(imap, ones)
+    m = _graph_from_edges(imap, np.concatenate([du, ou]), np.concatenate([dv, ov])).matrix
+    m.indptr.flags.writeable = m.indices.flags.writeable = False
+    return m.indptr, m.indices
+
+
 def build_full(tree: TreeInput, M: int) -> HamiltonianGraph:
-    """H = H_D + H_O, built from the two edge lists in one pass."""
+    """H = H_D + H_O entrywise, on the pattern of every pendant slot.
+
+    -1 on every edge and an explicit 0 on the slot of each 0-bit, so the
+    pattern (indptr, indices) is a function of (depth, M), shared
+    read-only by every tree of that layout, and only `data` is built per
+    tree.  A stored 0 adds 0.0 terms to a product and keeps the row
+    lengths of the sparse product independent of the bits.
+    """
     imap = NodeIndexMap(tree.depth, M)
-    (du, dv), (ou, ov) = _driver_edges(imap), _oracle_edges(imap, tree)
-    return _graph_from_edges(imap, np.concatenate([du, ou]), np.concatenate([dv, ov]))
+    indptr, indices = _full_pattern(tree.depth, M)
+    slots = np.where(tree.bits, -1.0, 0.0)
+    data = np.full(indices.size, -1.0)
+    # indices are sorted within a row: a leaf's extra follows its parent,
+    # and an extra's row holds its leaf alone
+    data[indptr[imap.extras_off - imap.n_leaves:imap.extras_off] + 1] = slots
+    data[indptr[imap.extras_off:imap.dim]] = slots
+    m = sp.csr_matrix((data, indices, indptr), shape=(imap.dim, imap.dim), copy=False)
+    return HamiltonianGraph(matrix=m, index_map=imap)
 
 
 DENSE_EIG_CAP = 4000

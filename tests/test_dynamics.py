@@ -20,6 +20,7 @@ from nandwalk import (
     eval_nand,
     evolve_cheb,
     evolve_exact,
+    hard_instance,
     initial_packet,
     parse_input,
     prob_right,
@@ -197,6 +198,52 @@ class TestChebyshevPropagator:
             graph = HamiltonianGraph(matrix=m, index_map=H.index_map)
             with pytest.raises(ValueError, match="degree"):
                 evolve_cheb(graph, psi, 1.0)
+
+    @pytest.mark.parametrize("drop, add, match", [
+        ((), (), None),
+        # level-1 node 10 to leaf 14 closes 10 - root - 11 - 14 on -1 edges
+        ((), ((10, 14),), "forest"),
+        # cut runway site -4 off site -3 and hang it on the root (degree 4)
+        (((0, 1),), ((0, 9),), "degree"),
+    ], ids=["padded", "cycle", "degree4"])
+    def test_forest_check_reads_the_stored_pattern(self, drop, add, match):
+        # with all bits 0 every pendant slot is an explicit 0, which the
+        # check counts as an edge: one tree with every slot attached
+        H = build_full(parse_input("0000"), M=4)
+        imap = H.index_map
+        assert (imap.tree_off, imap.extras_off - imap.n_leaves) == (9, 12)  # root, leaf 0
+        coo = H.matrix.tocoo()
+        entries = dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist()))
+        for u, v in drop:
+            del entries[u, v], entries[v, u]
+        for u, v in add:
+            entries[u, v] = entries[v, u] = -1.0
+        rows, cols = zip(*entries)
+        m = sp.csr_matrix((list(entries.values()), (rows, cols)), shape=H.matrix.shape)
+        assert np.count_nonzero(m.data == 0) == 8  # the four padded slots, both ways
+        graph = HamiltonianGraph(matrix=m, index_map=imap)
+        psi = initial_packet(4, 4, imap)
+        if match is None:
+            evolve_cheb(graph, psi, 1.0)
+        else:
+            with pytest.raises(ValueError, match=match):
+                evolve_cheb(graph, psi, 1.0)
+
+    def test_stored_zeros_change_no_bit(self, rng):
+        # the explicit zeros of build_full add 0.0 terms, which leave every
+        # sum bitwise unchanged: same state as on the nonzero entries alone
+        trees = [(random_tree(rng, 2 ** d), 4.0) for d in range(1, 11)]
+        trees.append((hard_instance(14, 5), 1.0))
+        for t, gamma in trees:
+            cfg = RunConfig.for_tree(t.n_leaves, gamma=gamma)
+            H = build_full(t, cfg.M)
+            m = H.matrix.copy()
+            m.eliminate_zeros()
+            assert m.nnz < H.matrix.nnz
+            psi0 = initial_packet(cfg.L, cfg.M, H.index_map)
+            padded = evolve_cheb(H, psi0, cfg.t_run)
+            bare = evolve_cheb(HamiltonianGraph(matrix=m, index_map=H.index_map), psi0, cfg.t_run)
+            assert padded.tobytes() == bare.tobytes(), t.n_leaves
 
     def test_coefficients_match_wider_search(self):
         # reference: the first k > |x| with |J_k(x)| < CHEB_TOL / 100, found
@@ -396,7 +443,7 @@ class TestRunAlgorithm:
         obj = json.loads(json.dumps(asdict(v), sort_keys=True))
         assert obj["decision"] == v.decision
         assert obj["config"]["bits"] == "0110"
-        assert set(obj["stats"]) == {"cheb_terms", "norm_drift"}
+        assert set(obj["stats"]) == {"cheb_terms", "nnz", "norm_drift"}
 
     def test_stats_report_terms_and_drift(self):
         tree, cfg = parse_input("0110"), RunConfig.for_tree(4, gamma=8.0)
@@ -405,8 +452,12 @@ class TestRunAlgorithm:
         psi = evolve_cheb(H, initial_packet(cfg.L, cfg.M, H.index_map), cfg.t_run)
         assert v.stats == {
             "cheb_terms": _chebyshev_coefficients(SPECTRAL_RADIUS_BOUND * cfg.t_run).size,
+            "nnz": H.matrix.nnz,
             "norm_drift": abs(float(np.linalg.norm(psi)) - 1.0),
         }
+        # the stored entries of a layout, whatever the tree: 2 (2M + 3N - 1)
+        assert v.stats["nnz"] == run_algorithm(parse_input("1111"), cfg).stats["nnz"]
+        assert v.stats["nnz"] == 2 * (2 * cfg.M + 3 * 4 - 1)
         assert v.stats["norm_drift"] <= 1e-12
 
     def test_error_shrinks_with_gamma(self):

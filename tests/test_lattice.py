@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nandwalk import (
+    HamiltonianGraph,
     NodeIndexMap,
     build_driver,
     build_full,
@@ -17,9 +18,16 @@ from conftest import random_tree
 
 
 def upper_edges(H) -> set:
-    """Undirected edges as (u, v) index pairs with u < v."""
+    """Undirected edges, the nonzero entries, as (u, v) pairs with u < v."""
     coo = H.matrix.tocoo()
-    return {(int(u), int(v)) for u, v in zip(coo.row, coo.col) if u < v}
+    return {(int(u), int(v)) for u, v, d in zip(coo.row, coo.col, coo.data) if u < v and d}
+
+
+def nonzero_copy(H):
+    """H's matrix without its explicit zeros, leaving H's shared pattern intact."""
+    m = H.matrix.copy()
+    m.eliminate_zeros()
+    return m
 
 
 class TestIndexMap:
@@ -149,6 +157,7 @@ class TestBuildFull:
         assert (H.matrix != H.matrix.T).nnz == 0
 
     def test_additive_decomposition(self, rng):
+        # on the nonzero entries: build_full also stores the 0-bit slots
         for n_leaves in (2, 4, 8):
             t = random_tree(rng, n_leaves)
             full = build_full(t, M=5)
@@ -157,20 +166,57 @@ class TestBuildFull:
             assert (full.matrix != driver.matrix + oracle.matrix).nnz == 0
 
     def test_one_pass_equals_driver_plus_oracle_bytewise(self, rng):
+        # once its explicit zeros are dropped
         for depth in (1, 2, 5, 9, 14):
             t = random_tree(rng, 2 ** depth)
             M = 3 * max(4, round(16 * 2 ** (depth / 2)))
-            one_pass = build_full(t, M).matrix
+            one_pass = nonzero_copy(build_full(t, M))
             summed = build_driver(depth, M).matrix + build_oracle(t, M).matrix
             for name in ("indptr", "indices", "data"):
                 a, b = getattr(one_pass, name), getattr(summed, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (depth, name)
 
+    def test_pattern_depends_only_on_layout(self, rng):
+        for depth, M in ((1, 3), (4, 12), (10, 96)):
+            a, b = (build_full(random_tree(rng, 2 ** depth), M).matrix for _ in range(2))
+            ones = build_full(parse_input("1" * 2 ** depth), M).matrix
+            for m in (a, b):
+                for name in ("indptr", "indices"):
+                    assert getattr(m, name).tobytes() == getattr(ones, name).tobytes()
+                assert m.nnz == ones.nnz == 2 * (2 * M + 2 ** (depth + 1) - 1 + 2 ** depth)
+            # one shared read-only pattern: an in-place eliminate_zeros
+            # fails loudly instead of corrupting the other trees' matrices
+            assert np.shares_memory(a.indices, b.indices)
+            assert not a.indptr.flags.writeable and not a.indices.flags.writeable
+            with pytest.raises(ValueError):
+                a.eliminate_zeros()
+            assert a.indices.tobytes() == ones.indices.tobytes()
+        assert build_full(parse_input("01"), 4).matrix.nnz != build_full(parse_input("01"), 5).matrix.nnz
+
+    def test_explicit_zeros_sit_at_zero_bit_slots(self, rng):
+        for n_leaves in (2, 8, 64):
+            t = random_tree(rng, n_leaves)
+            H = build_full(t, M=7)
+            imap = H.index_map
+            coo = H.matrix.tocoo()
+            zero = coo.data == 0
+            assert np.all(coo.data[~zero] == -1.0)
+            assert not np.signbit(coo.data[zero]).any()
+            gaps = np.flatnonzero(np.asarray(t.bits) == 0)
+            leaves, extras = imap.extras_off - imap.n_leaves + gaps, imap.extras_off + gaps
+            assert set(zip(coo.row[zero].tolist(), coo.col[zero].tolist())) == (
+                set(zip(leaves.tolist(), extras.tolist())) | set(zip(extras.tolist(), leaves.tolist())))
+
     def test_degree_census(self, rng):
+        # graph degrees on the nonzero entries; every stored row of a leaf
+        # holds 2 entries and of an extra 1
         t = random_tree(rng, 8)
         H = build_full(t, M=4)
-        deg = np.diff(H.matrix.indptr)
+        deg = np.diff(nonzero_copy(H).indptr)
+        stored = np.diff(H.matrix.indptr)
         imap = H.index_map
+        assert np.all(stored[imap.extras_off - imap.n_leaves:imap.extras_off] == 2)
+        assert np.all(stored[imap.extras_off:] == 1)
         for i, b in enumerate(t.bits):
             assert deg[imap.extras_off + i] == float(b)
             assert deg[imap.extras_off - imap.n_leaves + i] == 1.0 + b
@@ -251,6 +297,13 @@ class TestDenseEig:
         assert np.linalg.norm(resid, axis=0).max() <= 1e-10 * hnorm
         gram = V.T @ V
         assert np.max(np.abs(gram - np.eye(H.dim))) < 1e-10
+
+    def test_stored_zeros_leave_the_spectrum_unchanged(self, rng):
+        for n_leaves in (2, 16):
+            H = build_full(random_tree(rng, n_leaves), M=9)
+            w, V = dense_eig(H)
+            w0, V0 = dense_eig(HamiltonianGraph(matrix=nonzero_copy(H), index_map=H.index_map))
+            assert w.tobytes() == w0.tobytes() and V.tobytes() == V0.tobytes()
 
     def test_trace_is_zero(self, rng):
         t = random_tree(rng, 4)
