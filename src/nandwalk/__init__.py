@@ -42,7 +42,6 @@ from .lattice import (
     build_driver,
     build_full,
     build_oracle,
-    build_runway,
     dense_eig,
 )
 from .dynamics import (

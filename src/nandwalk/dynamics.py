@@ -9,7 +9,7 @@ half of the runway decides the instance.
 
 The runtime propagator is a Chebyshev expansion of e^{-iHt} (Tal-Ezer and
 Kosloff 1984) run in real arithmetic.  The walk graph is a forest, hence
-bipartite with classes A and B (NodeIndexMap.sublattice): with
+bipartite with classes A and B (NodeIndexMap.classes): with
 D = diag(+1 on A, -1 on B), D H D = -H.  For real v and
 chi(v) = P_A v + i P_B v, e^{-iHt} chi(v) = chi(sum_k e_k J_k(s t) s_k),
 where s = 2 sqrt 2, e_0 = 1, e_k = 2 for k >= 1, and the signed recurrence
@@ -36,13 +36,12 @@ from scipy.sparse._sparsetools import csr_matvec
 from scipy.special import jv
 
 from .nand_core import TreeInput, _check_int
-from .lattice import HamiltonianGraph, NodeIndexMap, build_full
+from .lattice import MAX_DEGREE, HamiltonianGraph, NodeIndexMap, _check_pattern, build_full
 from .scattering import SymbolicY, y_at_zero
 
 # Every forest of maximum degree 3 with unit edge weights has ||H|| below
 # 2 sqrt(3 - 1) = 2 sqrt 2; evolve_cheb refuses graphs outside that class.
 SPECTRAL_RADIUS_BOUND = 2.0 * math.sqrt(2.0)
-MAX_DEGREE = 3
 NORM_DRIFT_BOUND = 1e-8
 CHEB_TOL = 1e-12  # Bessel-tail truncation of the Chebyshev series
 DECISION_THRESHOLD = 0.5  # decide 1 when p_right >= 1/2
@@ -70,7 +69,10 @@ def initial_packet(L: int, M: int, index_map: NodeIndexMap) -> np.ndarray:
 
 
 def prob_right(psi: np.ndarray, index_map: NodeIndexMap) -> float:
-    """Total probability on runway sites r = 1..M."""
+    """Total probability on runway sites r = 1..M; ValueError unless psi
+    has shape (index_map.dim,)."""
+    if np.shape(psi) != (index_map.dim,):
+        raise ValueError("state dimension mismatch")
     return float(np.sum(np.abs(psi[index_map.right_runway_slice()]) ** 2))
 
 
@@ -97,27 +99,6 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
     c = (2.0 - (ks == 0)) * j[: ks.size]
     c.flags.writeable = False
     return c
-
-
-def _check_forest(H: HamiltonianGraph, cls: np.ndarray) -> None:
-    """Raise ValueError unless `cls` two-colours H and H is a forest of
-    maximum degree 3 with |entries| <= 1, the premises of the signed
-    recurrence and of SPECTRAL_RADIUS_BOUND.  The check reads the stored
-    pattern: an explicit 0 counts as an edge, so it holds for the graph
-    with every stored slot attached, which implies it for each subgraph."""
-    # Imported here: csgraph adds ~1 MB and ~20 ms to the package import,
-    # which the layers that never propagate need not pay.
-    from scipy.sparse.csgraph import connected_components
-
-    m = H.matrix
-    degree = np.diff(m.indptr)
-    if np.any(cls[np.repeat(np.arange(H.dim), degree)] == cls[m.indices]):
-        raise ValueError("an edge joins two nodes of the same sublattice class")
-    components = connected_components(m, directed=False, return_labels=False)
-    if m.nnz // 2 != H.dim - components:
-        raise ValueError("walk graph is not a forest")
-    if degree.max() > MAX_DEGREE or (m.nnz and np.abs(m.data).max() > 1.0):
-        raise ValueError(f"walk graph exceeds degree {MAX_DEGREE} or unit edge weight")
 
 
 def _csr_matvec_add(indptr, indices, data, *vectors):
@@ -150,21 +131,28 @@ def evolve_cheb(H: HamiltonianGraph, psi: np.ndarray, t: float) -> np.ndarray:
     into x; the initial packet has v2 = 0.  The series uses the spectral
     radius bound s = 2 sqrt 2 and is truncated when the Bessel coefficient
     tail falls below CHEB_TOL; norm drift stays within a small multiple of
-    CHEB_TOL.  ValueError: non-finite t, a graph outside the bound's
-    premises (_check_forest, run on every call), or a matrix whose index
-    arrays are not int32 (_csr_matvec_add); ArithmeticError: cut-off not
-    found.
+    CHEB_TOL.  ValueError: non-finite t, psi not of shape (H.dim,), a graph
+    outside the bound's premises (lattice._check_pattern, once per layout,
+    and in full for any other pattern; |data| <= 1 on every call), or index
+    arrays that are not int32 (_csr_matvec_add); ArithmeticError: cut-off
+    not found.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape[0] != H.dim:
+    if psi.shape != (H.dim,):
         raise ValueError("state dimension mismatch")
-    cls = H.index_map.sublattice()
-    _check_forest(H, cls)
+    m, imap = H.matrix, H.index_map
+    # the structure was checked with the layout record if m is on its own
+    # indptr and indices (same memory, dtype, shape and strides)
+    if not all(a.__array_interface__ == b.__array_interface__
+               for a, b in ((m.indptr, imap.indptr), (m.indices, imap.indices))):
+        _check_pattern(m, imap.classes)
+    if not np.all(np.abs(m.data) <= 1.0):
+        raise ValueError(f"walk graph exceeds degree {MAX_DEGREE} or unit edge weight")
+    cls = imap.classes
     on_a = cls == 0
     c = _chebyshev_coefficients(SPECTRAL_RADIUS_BOUND * t)
-    m = H.matrix
     # K = D (2H/s) by rows; each edge joins opposite classes, so the row
     # sign is minus the column sign
     signed = m.data * (1.0 - 2.0 * cls)[m.indices] * (-2.0 / SPECTRAL_RADIUS_BOUND)

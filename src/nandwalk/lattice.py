@@ -3,13 +3,13 @@
 The walk graph consists of a runway (a path on sites r = -M..M), a perfect
 binary tree of depth n whose root hangs off runway site 0, and one pendant
 "extra" node per leaf, attached exactly when that leaf bit is 1.  Every
-graph lives on one node layout (NodeIndexMap), addressed by closed-form
+graph lives on one node layout per (depth, M), addressed by closed-form
 index ranges: nodes carry no labels.  The driver H_D is the
 instance-independent part (runway + tree), the oracle H_O the pendant
 edges, and the full Hamiltonian is H = H_D + H_O, entrywise.  Every edge
-is -1 and the diagonal is 0.  build_full also stores every empty pendant
-slot as an explicit 0, so its sparsity pattern is a function of the
-layout alone, shared by every tree of one (depth, M).
+is -1 and the diagonal is 0.  The layout record (NodeIndexMap) holds the
+sparsity pattern of H_D plus every pendant slot, checked once when built;
+build_full fills only `data` on it, with an explicit 0 on each empty slot.
 """
 
 from __future__ import annotations
@@ -23,26 +23,42 @@ import scipy.sparse as sp
 
 from .nand_core import TreeInput, _check_int
 
+MAX_DEGREE = 3
+
 
 class NodeIndexMap:
-    """Offsets and index ranges of the three blocks of the node layout.
+    """The layout record of one (depth, M), built once by _layout.
 
     Order: runway sites -M..M (site r at r + M), then the tree in heap
     order (level l, position p at tree_off + 2^l - 1 + p, root first,
     leaf i at extras_off - n_leaves + i), then extra i at extras_off + i.
-    depth=None leaves the tree and extras blocks empty: the bare runway.
+    Read-only arrays: `classes`, the two-colouring (runway site r in class
+    r mod 2, tree level l in (l + 1) mod 2, extras in depth mod 2);
+    `indptr` and `indices`, the CSR pattern of H_D plus every leaf-extra
+    slot, checked by _check_pattern; `pendant_slots`, the (2, n_leaves)
+    positions in `data` of (leaf i, extra i) and (extra i, leaf i).
     """
 
-    def __init__(self, depth, M: int):
-        if depth is not None:
-            _check_int("depth", depth, 0)
+    def __init__(self, depth: int, M: int):
+        _check_int("depth", depth, 0)
         _check_int("M", M, 1)
-        self.depth = depth
-        self.M = M
-        self.n_leaves = 0 if depth is None else 2 ** depth
+        self.depth, self.M = depth, M
+        self.n_leaves = 2 ** depth
         self.tree_off = 2 * M + 1
-        self.extras_off = self.tree_off + max(2 * self.n_leaves - 1, 0)
+        self.extras_off = self.tree_off + 2 * self.n_leaves - 1
         self.dim = self.extras_off + self.n_leaves
+        levels = np.repeat(np.arange(depth + 1), 2 ** np.arange(depth + 1))
+        self.classes = np.concatenate([np.arange(-M, M + 1) % 2, (levels + 1) % 2,
+                                       np.full(self.n_leaves, depth % 2)]).astype(np.int8)
+        (du, dv), (ou, ov) = _driver_edges(self), _oracle_edges(self, np.ones(self.n_leaves))
+        m = _graph_from_edges(self, np.concatenate([du, ou]), np.concatenate([dv, ov])).matrix
+        _check_pattern(m, self.classes)
+        self.indptr, self.indices = m.indptr, m.indices
+        # indices are sorted within a row: a leaf's extra follows its
+        # parent, and an extra's row holds its leaf alone
+        self.pendant_slots = np.stack([self.indptr[ou] + 1, self.indptr[ov]])
+        for a in (self.classes, self.indptr, self.indices, self.pendant_slots):
+            a.flags.writeable = False
 
     def runway_indices(self, rs) -> np.ndarray:
         """Flat indices of runway sites rs; ValueError outside -M..M."""
@@ -60,18 +76,36 @@ class NodeIndexMap:
     def extra_indices(self) -> np.ndarray:
         return np.arange(self.extras_off, self.dim)
 
-    def sublattice(self) -> np.ndarray:
-        """Two-colouring of the walk graph as 0/1 classes per flat index.
 
-        Runway site r is in class r mod 2, tree level l in class
-        (l + 1) mod 2 (the root hangs off site 0), extras in class
-        depth mod 2.  Every edge of every graph joins opposite classes.
-        """
-        parts = [np.arange(-self.M, self.M + 1) % 2]
-        if self.depth is not None:
-            levels = np.repeat(np.arange(self.depth + 1), 2 ** np.arange(self.depth + 1))
-            parts += [(levels + 1) % 2, np.full(self.n_leaves, self.depth % 2)]
-        return np.concatenate(parts).astype(np.int8)
+# Every builder takes its record from here.  The last 8 layouts are cached
+# (a sweep uses one M per gamma); typed, so that a float M misses the record
+# of its integer value and fails _check_int.
+_layout = functools.lru_cache(maxsize=8, typed=True)(NodeIndexMap)
+
+
+def _check_pattern(m: sp.csr_matrix, classes: np.ndarray) -> None:
+    """Raise ValueError unless m is a canonical CSR matrix of the layout's
+    dim, equal to its transpose entry by entry, that `classes` two-colours,
+    and whose graph is a forest of maximum degree MAX_DEGREE.  The check
+    reads the stored pattern: an explicit 0 counts as an edge, so it holds
+    for the graph with every stored slot attached, and so for each
+    subgraph."""
+    # Imported here: csgraph adds ~1 MB and ~20 ms to the package import,
+    # which the layers that never propagate need not pay.
+    from scipy.sparse.csgraph import connected_components
+
+    t = m.T.tocsr()
+    if m.shape != (classes.size,) * 2 or not (m.has_canonical_format and all(
+            np.array_equal(getattr(m, a), getattr(t, a)) for a in ("indptr", "indices", "data"))):
+        raise ValueError("walk graph matrix is not canonical CSR on the layout, equal to its transpose")
+    degree = np.diff(m.indptr)
+    if np.any(classes[np.repeat(np.arange(m.shape[0]), degree)] == classes[m.indices]):
+        raise ValueError("an edge joins two nodes of the same sublattice class")
+    components = connected_components(m, directed=False, return_labels=False)
+    if m.nnz // 2 != m.shape[0] - components:
+        raise ValueError("walk graph is not a forest")
+    if degree.max() > MAX_DEGREE:
+        raise ValueError(f"walk graph exceeds degree {MAX_DEGREE} or unit edge weight")
 
 
 @dataclass
@@ -95,11 +129,6 @@ def _graph_from_edges(imap: NodeIndexMap, u, v) -> HamiltonianGraph:
     return HamiltonianGraph(matrix=m, index_map=imap)
 
 
-def build_runway(M: int) -> HamiltonianGraph:
-    """Bare runway path, no tree: the free-propagation reference graph."""
-    return _graph_from_edges(NodeIndexMap(None, M), np.arange(2 * M), np.arange(1, 2 * M + 1))
-
-
 def _driver_edges(imap: NodeIndexMap):
     """Runway edges (r, r+1), the root on site 0, heap edges p -> 2p+1, 2p+2."""
     M = imap.M
@@ -110,55 +139,37 @@ def _driver_edges(imap: NodeIndexMap):
             np.concatenate([sites + 1, [imap.tree_off], children, children + 1]))
 
 
-def _oracle_edges(imap: NodeIndexMap, tree: TreeInput):
+def _oracle_edges(imap: NodeIndexMap, bits):
     """One edge from leaf i to extra i per 1-bit."""
-    ones = np.flatnonzero(np.asarray(tree.bits) == 1)
+    ones = np.flatnonzero(np.asarray(bits) == 1)
     return imap.extras_off - imap.n_leaves + ones, imap.extras_off + ones
 
 
 def build_driver(depth: int, M: int) -> HamiltonianGraph:
     """H_D: the runway, the root on site 0 and the heap-ordered tree."""
-    imap = NodeIndexMap(depth, M)
+    imap = _layout(depth, M)
     return _graph_from_edges(imap, *_driver_edges(imap))
 
 
 def build_oracle(tree: TreeInput, M: int) -> HamiltonianGraph:
     """H_O: the pendant leaf-extra edges, on the full layout."""
-    imap = NodeIndexMap(tree.depth, M)
-    return _graph_from_edges(imap, *_oracle_edges(imap, tree))
-
-
-@functools.lru_cache(maxsize=8)
-def _full_pattern(depth: int, M: int):
-    """Read-only (indptr, indices) of the all-ones tree, H_D plus every
-    leaf-extra slot: the pattern every tree of the layout shares.  The
-    last 8 layouts are cached (a sweep uses one M per gamma)."""
-    imap = NodeIndexMap(depth, M)
-    ones = TreeInput((1,) * imap.n_leaves)
-    (du, dv), (ou, ov) = _driver_edges(imap), _oracle_edges(imap, ones)
-    m = _graph_from_edges(imap, np.concatenate([du, ou]), np.concatenate([dv, ov])).matrix
-    m.indptr.flags.writeable = m.indices.flags.writeable = False
-    return m.indptr, m.indices
+    imap = _layout(tree.depth, M)
+    return _graph_from_edges(imap, *_oracle_edges(imap, tree.bits))
 
 
 def build_full(tree: TreeInput, M: int) -> HamiltonianGraph:
     """H = H_D + H_O entrywise, on the pattern of every pendant slot.
 
     -1 on every edge and an explicit 0 on the slot of each 0-bit, so the
-    pattern (indptr, indices) is a function of (depth, M), shared
-    read-only by every tree of that layout, and only `data` is built per
-    tree.  A stored 0 adds 0.0 terms to a product and keeps the row
-    lengths of the sparse product independent of the bits.
+    pattern (indptr, indices) is the layout record's, shared read-only by
+    every tree of that (depth, M), and only `data` is built per tree.  A
+    stored 0 adds 0.0 terms to a product and keeps the row lengths of the
+    sparse product independent of the bits.
     """
-    imap = NodeIndexMap(tree.depth, M)
-    indptr, indices = _full_pattern(tree.depth, M)
-    slots = np.where(tree.bits, -1.0, 0.0)
-    data = np.full(indices.size, -1.0)
-    # indices are sorted within a row: a leaf's extra follows its parent,
-    # and an extra's row holds its leaf alone
-    data[indptr[imap.extras_off - imap.n_leaves:imap.extras_off] + 1] = slots
-    data[indptr[imap.extras_off:imap.dim]] = slots
-    m = sp.csr_matrix((data, indices, indptr), shape=(imap.dim, imap.dim), copy=False)
+    imap = _layout(tree.depth, M)
+    data = np.full(imap.indices.size, -1.0)
+    data[imap.pendant_slots] = np.where(tree.bits, -1.0, 0.0)
+    m = sp.csr_matrix((data, imap.indices, imap.indptr), shape=(imap.dim, imap.dim), copy=False)
     return HamiltonianGraph(matrix=m, index_map=imap)
 
 

@@ -8,13 +8,13 @@ import scipy.sparse as sp
 from scipy.special import jv
 
 import nandwalk.dynamics as dynamics
+import nandwalk.lattice as lattice
 from nandwalk import (
     HamiltonianGraph,
     RunConfig,
     build_driver,
     build_full,
     build_oracle,
-    build_runway,
     cli_main,
     dense_eig,
     eval_nand,
@@ -32,7 +32,7 @@ from nandwalk.dynamics import (
     _chebyshev_coefficients,
     _csr_matvec_add,
 )
-from conftest import random_tree
+from conftest import build_runway, random_tree
 
 
 class TestInitialPacket:
@@ -185,6 +185,67 @@ class TestChebyshevPropagator:
         H = build_runway(6)
         with pytest.raises(ValueError, match="dimension"):
             evolve_cheb(H, np.zeros(H.dim + 1, dtype=complex), 1.0)
+
+    def test_rejects_state_of_wrong_shape(self):
+        # a 0-d state used to raise IndexError, and a (dim, 1) column was
+        # broadcast to a (dim, dim) array before any check
+        H = build_runway(6)
+        for psi in (np.complex128(1.0), np.zeros((H.dim, 1), dtype=complex)):
+            with pytest.raises(ValueError, match="dimension"):
+                evolve_cheb(H, psi, 1.0)
+
+    def test_rejects_asymmetric_matrix(self):
+        # (0, 3) without (3, 0): the undirected graph is the 4-cycle
+        # 0-1-2-3-0, yet its 6 stored entries count as 3 edges, as for a
+        # tree on those 4 nodes, so the forest count alone accepted it
+        imap = build_runway(2).index_map
+        rows, cols = [0, 1, 1, 2, 2, 0], [1, 0, 2, 1, 3, 3]
+        m = sp.csr_matrix((-np.ones(6), (rows, cols)), shape=(imap.dim, imap.dim))
+        graph = HamiltonianGraph(matrix=m, index_map=imap)
+        with pytest.raises(ValueError, match="transpose"):
+            evolve_cheb(graph, initial_packet(2, 2, imap), 3.0)
+        # one stored entry of the runway halved: the norm drifted to 0.978
+        H = build_runway(1)
+        m = H.matrix.copy()
+        m.data[0] = -0.5
+        with pytest.raises(ValueError, match="transpose"):
+            evolve_cheb(HamiltonianGraph(matrix=m, index_map=H.index_map),
+                        initial_packet(1, 1, H.index_map), 3.0)
+
+    def test_rejects_matrix_off_the_layout(self):
+        # a runway of M = 6 on the record of M = 5 used to raise IndexError
+        H = build_runway(6)
+        graph = HamiltonianGraph(matrix=H.matrix, index_map=build_runway(5).index_map)
+        with pytest.raises(ValueError, match="layout"):
+            evolve_cheb(graph, np.zeros(H.dim, dtype=complex), 1.0)
+
+    def test_weight_checked_on_the_layout_pattern(self):
+        # a matrix on the layout record's own pattern skips the structural
+        # check, but never the check of its entries
+        H = build_full(parse_input("0110"), M=12)
+        imap = H.index_map
+        heavy = sp.csr_matrix((2 * H.matrix.data, imap.indices, imap.indptr), copy=False)
+        assert heavy.indptr is imap.indptr and np.shares_memory(heavy.indices, imap.indices)
+        with pytest.raises(ValueError, match="unit edge weight"):
+            evolve_cheb(HamiltonianGraph(matrix=heavy, index_map=imap),
+                        initial_packet(4, 12, imap), 1.0)
+
+    def test_structure_checked_once_per_layout(self, monkeypatch):
+        import scipy.sparse.csgraph as csgraph
+
+        runway = build_runway(6)
+        components, calls = csgraph.connected_components, []
+        monkeypatch.setattr(csgraph, "connected_components",
+                            lambda *args, **kwargs: calls.append(1) or components(*args, **kwargs))
+        lattice._layout.cache_clear()
+        cfg = RunConfig.for_tree(16, gamma=4.0)
+        for bits in ("0110100110010110", "1111000011110000") * 2:
+            run_algorithm(parse_input(bits), cfg)
+        assert len(calls) == 1
+        # a pattern of its own is checked in full on every call
+        for _ in range(2):
+            evolve_cheb(runway, initial_packet(4, 6, runway.index_map), 1.0)
+        assert len(calls) == 3
 
     def test_rejects_degree_four_or_heavy_edge(self):
         # both graphs are two-coloured forests, so only the degree and
@@ -372,6 +433,13 @@ class TestProbRight:
         psi = np.zeros(H.dim, dtype=complex)
         psi[H.index_map.runway_indices(np.array([5]))[0]] = 1.0
         assert prob_right(psi, H.index_map) == pytest.approx(1.0)
+
+    def test_rejects_state_of_wrong_shape(self):
+        # np.zeros(3) used to read as probability 0.0
+        imap = build_full(parse_input("01"), M=8).index_map
+        for psi in (np.zeros(3), np.zeros((imap.dim, 1)), np.float64(0.0)):
+            with pytest.raises(ValueError, match="dimension"):
+                prob_right(psi, imap)
 
 
 class TestRunConfig:

@@ -9,12 +9,11 @@ from nandwalk import (
     build_driver,
     build_full,
     build_oracle,
-    build_runway,
     dense_eig,
     parse_input,
 )
 from nandwalk.lattice import DENSE_EIG_CAP
-from conftest import random_tree
+from conftest import build_runway, random_tree
 
 
 def upper_edges(H) -> set:
@@ -32,8 +31,8 @@ def nonzero_copy(H):
 
 class TestIndexMap:
     def test_blocks_tile_every_layout(self):
-        # the full layout and the bare runway (depth=None)
-        for imap in (NodeIndexMap(3, 5), NodeIndexMap(None, 4)):
+        # down to depth 0, whose root is its only leaf
+        for imap in (NodeIndexMap(3, 5), NodeIndexMap(0, 4)):
             runway = imap.runway_indices(np.arange(-imap.M, imap.M + 1))
             blocks = np.concatenate([runway, imap.tree_indices(), imap.extra_indices()])
             assert np.array_equal(blocks, np.arange(imap.dim))
@@ -52,9 +51,9 @@ class TestIndexMap:
         for r in (4, -4):
             with pytest.raises(ValueError):
                 imap.runway_indices([0, r])
-        bare = NodeIndexMap(None, 3)
-        assert bare.dim == 7
-        assert bare.tree_indices().size == bare.extra_indices().size == 0
+        root = NodeIndexMap(0, 3)
+        assert root.dim == 7 + 2
+        assert root.tree_indices().size == root.extra_indices().size == 1
 
     def test_rejects_empty_runway(self):
         with pytest.raises(ValueError):
@@ -86,10 +85,34 @@ class TestIndexMap:
         assert imap.right_runway_slice() == slice(4, 7)
 
 
+class TestLayoutRecord:
+    def test_one_record_per_layout(self):
+        a = build_full(parse_input("0110"), 5).index_map
+        assert a is build_driver(2, 5).index_map is build_oracle(parse_input("1001"), 5).index_map
+        assert a is not build_full(parse_input("0110"), 6).index_map
+
+    def test_arrays_read_only(self):
+        imap = build_full(parse_input("0110"), 5).index_map
+        for a in (imap.classes, imap.indptr, imap.indices, imap.pendant_slots):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    @pytest.mark.parametrize("call", [
+        lambda: build_full(parse_input("0110"), 24.0),
+        lambda: build_driver(2, np.float64(6.0)),
+    ])
+    def test_float_length_rejected_after_integer_key_cached(self, call):
+        # an untyped cache would serve 24.0 the record of 24
+        build_full(parse_input("0110"), 24), build_driver(2, 6)
+        with pytest.raises(ValueError, match="^M must be an integer"):
+            call()
+
+
 class TestSublattice:
     def test_classes(self):
         imap = NodeIndexMap(2, 3)
-        cls = imap.sublattice()
+        cls = imap.classes
         assert cls[0] == 1  # runway site -3
         assert cls[3] == 0  # runway site 0
         assert cls[7] == 1  # the root
@@ -101,7 +124,7 @@ class TestSublattice:
             t = random_tree(rng, n_leaves)
             for H in (build_full(t, M=5), build_driver(t.depth, 5),
                       build_oracle(t, 5), build_runway(5)):
-                cls = H.index_map.sublattice()
+                cls = H.index_map.classes
                 assert cls.shape == (H.dim,)
                 coo = H.matrix.tocoo()
                 assert np.all(cls[coo.row] != cls[coo.col])
@@ -274,19 +297,21 @@ class TestApplyH:
 
 class TestDenseEig:
     def test_three_site_path_spectrum(self):
-        # analytic path spectrum: -2 cos(k pi / (dim + 1))
+        # analytic path spectrum -2 cos(k pi / (sites + 1)), plus a 0 each
+        # for the isolated root and extra of the depth-0 layout
         H = build_runway(1)
         w, V = dense_eig(H)
-        expect = sorted(-2.0 * math.cos(k * math.pi / 4.0) for k in (1, 2, 3))
+        expect = sorted([-2.0 * math.cos(k * math.pi / 4.0) for k in (1, 2, 3)] + [0.0, 0.0])
         assert np.allclose(w, expect, atol=1e-12)
-        assert np.allclose(w, [-math.sqrt(2), 0.0, math.sqrt(2)], atol=1e-12)
+        assert np.allclose(w, [-math.sqrt(2), 0.0, 0.0, 0.0, math.sqrt(2)], atol=1e-12)
 
     def test_path_spectrum_general(self):
         H = build_runway(7)
         w, _ = dense_eig(H)
-        dim = H.dim
-        expect = np.sort([-2.0 * math.cos(k * math.pi / (dim + 1)) for k in range(1, dim + 1)])
-        assert np.allclose(w, expect, atol=1e-12)
+        sites = 2 * 7 + 1
+        assert H.dim == sites + 2
+        path = [-2.0 * math.cos(k * math.pi / (sites + 1)) for k in range(1, sites + 1)]
+        assert np.allclose(w, np.sort(path + [0.0, 0.0]), atol=1e-12)
 
     def test_residuals_and_orthonormality(self, rng):
         t = random_tree(rng, 8)
@@ -312,7 +337,7 @@ class TestDenseEig:
 
     def test_cap(self):
         # dim 4,001 is refused before the matrix is densified
-        H = build_runway(2000)
+        H = build_runway(1999)
         assert H.dim == DENSE_EIG_CAP + 1
         with pytest.raises(ValueError, match="cap"):
             dense_eig(H)

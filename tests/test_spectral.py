@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from nandwalk import (
-    build_runway,
     band_mass,
     initial_packet,
     packet_spectrum,
     parseval_total,
     tail_mass,
 )
+from conftest import build_runway
 
 
 def gauss_legendre_band_mass(L, lo, hi):
