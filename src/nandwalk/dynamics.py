@@ -19,9 +19,9 @@ of s_{k-1} and one axpy into a single accumulator.  A general state is a
 sum of two such terms, and the initial packet is a single one.  The
 series is truncated at the fixed CHEB_TOL, at an order read off one
 window of Bessel orders, and the coefficients of the last few evolution
-times are cached.  It is the only propagator run_algorithm uses; the
-dense eigendecomposition propagator (evolve_exact with lattice.dense_eig)
-is the test oracle.
+times are cached.  Every matrix passes NodeIndexMap.check first.  It is
+the only propagator run_algorithm uses; the dense eigendecomposition
+propagator (evolve_exact with lattice.dense_eig) is the test oracle.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ from scipy.sparse._sparsetools import csr_matvec
 from scipy.special import jv
 
 from .nand_core import TreeInput, _check_int
-from .lattice import MAX_DEGREE, HamiltonianGraph, NodeIndexMap, _check_pattern, build_full
+from .lattice import HamiltonianGraph, NodeIndexMap, build_full
 from .scattering import SymbolicY, y_at_zero
 
 # Every forest of maximum degree 3 with unit edge weights has ||H|| below
-# 2 sqrt(3 - 1) = 2 sqrt 2; evolve_cheb refuses graphs outside that class.
+# 2 sqrt(3 - 1) = 2 sqrt 2; NodeIndexMap.check refuses graphs outside that class.
 SPECTRAL_RADIUS_BOUND = 2.0 * math.sqrt(2.0)
 NORM_DRIFT_BOUND = 1e-8
 CHEB_TOL = 1e-12  # Bessel-tail truncation of the Chebyshev series
@@ -55,9 +55,10 @@ def initial_packet(L: int, M: int, index_map: NodeIndexMap) -> np.ndarray:
     the packet right-moving with group velocity 2.  The phases are set
     exactly as (1, i, -1, -i)[r mod 4], so the packet is real on even sites
     and imaginary on odd ones, which evolve_cheb propagates in one real
-    recurrence.  Raises ValueError unless 1 <= L <= M = index_map.M.
+    recurrence.  Raises ValueError unless integers 1 <= L <= M = index_map.M.
     """
     _check_int("packet length L", L, 1)
+    _check_int("M", M, 1)
     if M != index_map.M:
         raise ValueError(f"M={M} does not match the index map's M={index_map.M}")
     if L > M:
@@ -131,9 +132,8 @@ def evolve_cheb(H: HamiltonianGraph, psi: np.ndarray, t: float) -> np.ndarray:
     into x; the initial packet has v2 = 0.  The series uses the spectral
     radius bound s = 2 sqrt 2 and is truncated when the Bessel coefficient
     tail falls below CHEB_TOL; norm drift stays within a small multiple of
-    CHEB_TOL.  ValueError: non-finite t, psi not of shape (H.dim,), a graph
-    outside the bound's premises (lattice._check_pattern, once per layout,
-    and in full for any other pattern; |data| <= 1 on every call), or index
+    CHEB_TOL.  ValueError: non-finite t, psi not of shape (H.dim,), a
+    matrix outside the bound's premises (H.index_map.check), or index
     arrays that are not int32 (_csr_matvec_add); ArithmeticError: cut-off
     not found.
     """
@@ -142,15 +142,8 @@ def evolve_cheb(H: HamiltonianGraph, psi: np.ndarray, t: float) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (H.dim,):
         raise ValueError("state dimension mismatch")
-    m, imap = H.matrix, H.index_map
-    # the structure was checked with the layout record if m is on its own
-    # indptr and indices (same memory, dtype, shape and strides)
-    if not all(a.__array_interface__ == b.__array_interface__
-               for a, b in ((m.indptr, imap.indptr), (m.indices, imap.indices))):
-        _check_pattern(m, imap.classes)
-    if not np.all(np.abs(m.data) <= 1.0):
-        raise ValueError(f"walk graph exceeds degree {MAX_DEGREE} or unit edge weight")
-    cls = imap.classes
+    m, cls = H.matrix, H.index_map.classes
+    H.index_map.check(m)
     on_a = cls == 0
     c = _chebyshev_coefficients(SPECTRAL_RADIUS_BOUND * t)
     # K = D (2H/s) by rows; each edge joins opposite classes, so the row

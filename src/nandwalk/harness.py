@@ -23,6 +23,7 @@ run json carries the hash and version; eval and embed-parity carry none.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -372,6 +373,7 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return action.help if action.default is None else super()._get_help_string(action)
 
 
+@functools.cache  # one parser per process; no handler mutates a parsed default
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nandwalk",

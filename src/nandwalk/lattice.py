@@ -8,8 +8,9 @@ index ranges: nodes carry no labels.  The driver H_D is the
 instance-independent part (runway + tree), the oracle H_O the pendant
 edges, and the full Hamiltonian is H = H_D + H_O, entrywise.  Every edge
 is -1 and the diagonal is 0.  The layout record (NodeIndexMap) holds the
-sparsity pattern of H_D plus every pendant slot, checked once when built;
-build_full fills only `data` on it, with an explicit 0 on each empty slot.
+sparsity pattern of H_D plus every pendant slot; build_full fills only
+`data` on it, with an explicit 0 on each empty slot.  NodeIndexMap.check
+gates propagation: the pattern once per layout, the values on every call.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ class NodeIndexMap:
     Read-only arrays: `classes`, the two-colouring (runway site r in class
     r mod 2, tree level l in (l + 1) mod 2, extras in depth mod 2);
     `indptr` and `indices`, the CSR pattern of H_D plus every leaf-extra
-    slot, checked by _check_pattern; `pendant_slots`, the (2, n_leaves)
-    positions in `data` of (leaf i, extra i) and (extra i, leaf i).
+    slot, checked by _check_pattern; `mirror`, the position of (v, u) per
+    stored (u, v); `pendant_slots`, the (2, n_leaves) positions in `data` of
+    (leaf i, extra i) and (extra i, leaf i).
     """
 
     def __init__(self, depth: int, M: int):
@@ -52,13 +54,26 @@ class NodeIndexMap:
                                        np.full(self.n_leaves, depth % 2)]).astype(np.int8)
         (du, dv), (ou, ov) = _driver_edges(self), _oracle_edges(self, np.ones(self.n_leaves))
         m = _graph_from_edges(self, np.concatenate([du, ou]), np.concatenate([dv, ov])).matrix
-        _check_pattern(m, self.classes)
+        self.mirror = _check_pattern(m, self.classes)
         self.indptr, self.indices = m.indptr, m.indices
         # indices are sorted within a row: a leaf's extra follows its
         # parent, and an extra's row holds its leaf alone
         self.pendant_slots = np.stack([self.indptr[ou] + 1, self.indptr[ov]])
-        for a in (self.classes, self.indptr, self.indices, self.pendant_slots):
+        for a in (self.classes, self.indptr, self.indices, self.mirror, self.pendant_slots):
             a.flags.writeable = False
+
+    def check(self, m: sp.csr_matrix) -> None:
+        """The one gate before propagation: ValueError unless |m_ij| <= 1
+        (first, so NaN fails as a weight), data == data[mirror] (m == m^T),
+        and the pattern passes _check_pattern: once, for m on this record's
+        own indptr and indices (same array interface), else on every call."""
+        own = all(a.__array_interface__ == b.__array_interface__
+                  for a, b in ((m.indptr, self.indptr), (m.indices, self.indices)))
+        mirror = self.mirror if own else _check_pattern(m, self.classes)
+        if not np.all(np.abs(m.data) <= 1.0):
+            raise ValueError(f"walk graph exceeds degree {MAX_DEGREE} or unit edge weight")
+        if not np.array_equal(m.data, m.data[mirror]):
+            raise ValueError("walk graph matrix is not equal to its transpose")
 
     def runway_indices(self, rs) -> np.ndarray:
         """Flat indices of runway sites rs; ValueError outside -M..M."""
@@ -83,20 +98,19 @@ class NodeIndexMap:
 _layout = functools.lru_cache(maxsize=8, typed=True)(NodeIndexMap)
 
 
-def _check_pattern(m: sp.csr_matrix, classes: np.ndarray) -> None:
+def _check_pattern(m: sp.csr_matrix, classes: np.ndarray) -> np.ndarray:
     """Raise ValueError unless m is a canonical CSR matrix of the layout's
-    dim, equal to its transpose entry by entry, that `classes` two-colours,
-    and whose graph is a forest of maximum degree MAX_DEGREE.  The check
-    reads the stored pattern: an explicit 0 counts as an edge, so it holds
-    for the graph with every stored slot attached, and so for each
-    subgraph."""
-    # Imported here: csgraph adds ~1 MB and ~20 ms to the package import,
-    # which the layers that never propagate need not pay.
+    dim, with the pattern of its transpose, that `classes` two-colours, and
+    whose graph is a forest of maximum degree MAX_DEGREE; return the int32
+    mirror, read off the transposed positions.  The check reads the stored
+    pattern, not the values: an explicit 0 counts as an edge, so it holds
+    for the graph with every stored slot attached, and so for each subgraph."""
+    # csgraph adds ~1 MB and ~20 ms at import, needed only to propagate
     from scipy.sparse.csgraph import connected_components
 
-    t = m.T.tocsr()
+    t = sp.csr_matrix((np.arange(m.nnz, dtype=np.int32), m.indices, m.indptr), shape=m.shape).T.tocsr()
     if m.shape != (classes.size,) * 2 or not (m.has_canonical_format and all(
-            np.array_equal(getattr(m, a), getattr(t, a)) for a in ("indptr", "indices", "data"))):
+            np.array_equal(getattr(m, a), getattr(t, a)) for a in ("indptr", "indices"))):
         raise ValueError("walk graph matrix is not canonical CSR on the layout, equal to its transpose")
     degree = np.diff(m.indptr)
     if np.any(classes[np.repeat(np.arange(m.shape[0]), degree)] == classes[m.indices]):
@@ -106,6 +120,7 @@ def _check_pattern(m: sp.csr_matrix, classes: np.ndarray) -> None:
         raise ValueError("walk graph is not a forest")
     if degree.max() > MAX_DEGREE:
         raise ValueError(f"walk graph exceeds degree {MAX_DEGREE} or unit edge weight")
+    return t.data
 
 
 @dataclass

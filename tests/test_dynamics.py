@@ -84,6 +84,13 @@ class TestInitialPacket:
         with pytest.raises(ValueError, match="packet length L must be an integer"):
             initial_packet(L, 24, H.index_map)
 
+    @pytest.mark.parametrize("M", [12.0, np.float64(12.0), True], ids=repr)
+    def test_rejects_non_integer_runway(self, M):
+        # M = 12.0 equals the map's M, and used to be accepted
+        imap = build_full(parse_input("01"), M=12).index_map
+        with pytest.raises(ValueError, match="M must be an integer"):
+            initial_packet(4, M, imap)
+
     @pytest.mark.parametrize("L, M, map_M", [(8, 24, 4), (4, 12, 24)])
     def test_rejects_runway_other_than_the_maps(self, L, M, map_M):
         # the first used to surface as a KeyError, the second went unnoticed
@@ -230,6 +237,33 @@ class TestChebyshevPropagator:
             evolve_cheb(HamiltonianGraph(matrix=heavy, index_map=imap),
                         initial_packet(4, 12, imap), 1.0)
 
+    def test_rejects_asymmetric_values_on_the_layout_pattern(self):
+        # one entry halved, in place and in a matrix on the record's own
+        # buffers: both skip the structural check, and both used to
+        # propagate, to norm 0.9989 at t = 12
+        H = build_full(parse_input("0110"), M=12)
+        imap = H.index_map
+        data = H.matrix.data.copy()
+        data[0] = -0.5
+        rebuilt = sp.csr_matrix((data, imap.indices, imap.indptr), copy=False)
+        H.matrix.data[0] = -0.5
+        for m in (H.matrix, rebuilt):
+            assert m.indptr is imap.indptr and np.shares_memory(m.indices, imap.indices)
+            with pytest.raises(ValueError, match="transpose"):
+                evolve_cheb(HamiltonianGraph(matrix=m, index_map=imap),
+                            initial_packet(4, 12, imap), 12.0)
+
+    def test_nan_entry_fails_as_a_weight(self):
+        # |data| <= 1 is checked before symmetry, on the record's pattern
+        # and on a copy of it, so NaN is reported as a weight
+        H = build_full(parse_input("0110"), M=12)
+        copied = H.matrix.copy()
+        for m in (H.matrix, copied):
+            m.data[3] = np.nan
+            with pytest.raises(ValueError, match="unit edge weight"):
+                evolve_cheb(HamiltonianGraph(matrix=m, index_map=H.index_map),
+                            initial_packet(4, 12, H.index_map), 1.0)
+
     def test_structure_checked_once_per_layout(self, monkeypatch):
         import scipy.sparse.csgraph as csgraph
 
@@ -300,7 +334,7 @@ class TestChebyshevPropagator:
             H = build_full(t, cfg.M)
             m = H.matrix.copy()
             m.eliminate_zeros()
-            assert m.nnz < H.matrix.nnz
+            assert H.matrix.nnz - m.nnz == 2 * t.bits.count(0)
             psi0 = initial_packet(cfg.L, cfg.M, H.index_map)
             padded = evolve_cheb(H, psi0, cfg.t_run)
             bare = evolve_cheb(HamiltonianGraph(matrix=m, index_map=H.index_map), psi0, cfg.t_run)

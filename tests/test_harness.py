@@ -400,6 +400,15 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
 
+    def test_one_parser_per_process(self, capsys):
+        # the parser is built once, so every parse shares its list defaults,
+        # which no handler may mutate
+        harness.build_parser.cache_clear()
+        for _ in range(2):
+            assert cli_main(["sweep", "--n", "2", "--instances", "1"]) == 0
+        assert harness.build_parser.cache_info()[:2] == (1, 1)  # hits, misses
+        assert harness.build_parser().parse_args(["sweep", "--n", "2"]).gamma == [4.0, 16.0, 64.0]
+
     def test_other_exceptions_escape(self, monkeypatch):
         # only ValueError (exit 2) and ArithmeticError (exit 1) are mapped; a
         # KeyError from a programming slip used to be reported as a usage error

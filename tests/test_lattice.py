@@ -91,9 +91,17 @@ class TestLayoutRecord:
         assert a is build_driver(2, 5).index_map is build_oracle(parse_input("1001"), 5).index_map
         assert a is not build_full(parse_input("0110"), 6).index_map
 
+    def test_mirror_is_the_transposed_position(self):
+        # mirror[q] is where (v, u) is stored, for the entry (u, v) at q
+        imap = build_full(parse_input("0110"), 5).index_map
+        rows = np.repeat(np.arange(imap.dim), np.diff(imap.indptr))
+        assert imap.mirror.dtype == np.int32
+        assert np.array_equal(rows[imap.mirror], imap.indices)
+        assert np.array_equal(imap.indices[imap.mirror], rows)
+
     def test_arrays_read_only(self):
         imap = build_full(parse_input("0110"), 5).index_map
-        for a in (imap.classes, imap.indptr, imap.indices, imap.pendant_slots):
+        for a in (imap.classes, imap.indptr, imap.indices, imap.mirror, imap.pendant_slots):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0
